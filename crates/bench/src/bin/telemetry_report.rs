@@ -13,8 +13,8 @@
 //! - `--cpi PATH` points at a committed `BENCH_cpi_stack.json` (default:
 //!   `BENCH_cpi_stack.json` when present) for the simulated-cycle
 //!   attribution section.
-//! - `--smoke` is the CI gate: runs small telemetry-enabled windowed and
-//!   threaded workloads in-process, checks the JSONL round-trip is
+//! - `--smoke` is the CI gate: runs a small telemetry-enabled windowed
+//!   workload in-process, checks the JSONL round-trip is
 //!   byte-identical, every line is valid JSON, the Prometheus exposition
 //!   validates, and the scheduler span structure attributes the run total
 //!   (named exclusive spans present, their sum bounded by `run_total`).
@@ -25,7 +25,7 @@
 use std::process::ExitCode;
 
 use slipstream_bench::{
-    committed_calibration, json, parse_jsonl, report_text, to_jsonl, MAX_CYCLES,
+    committed_calibration, json, parse_jsonl, report_text, to_jsonl, MAX_CYCLES, WINDOWED_SET,
 };
 use slipstream_core::telemetry::{validate_exposition, RunManifest, Snapshot};
 use slipstream_core::{ExecMode, SlipstreamConfig, SlipstreamProcessor};
@@ -151,38 +151,16 @@ fn print_gate_summary(path: &str) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Exclusive main-thread span sets asserted by `--smoke`, per scheduler
-/// (kept in sync with the report's attribution tables).
-fn exclusive_set(scheduler: &str) -> &'static [&'static str] {
-    match scheduler {
-        "windowed" => &[
-            "a_checkpoint",
-            "a_window_exec",
-            "r_window_consume",
-            "r_boundary_sync",
-            "r_recovery_build",
-            "a_rollback_replay",
-            "a_recover_apply",
-        ],
-        "threaded" => &[
-            "r_ring_pop_wait",
-            "r_window_consume",
-            "r_boundary_sync",
-            "r_recovery_build",
-        ],
-        other => panic!("no exclusive span set for scheduler {other}"),
-    }
-}
-
-/// One telemetry-enabled smoke run under `mode`, returning its validated
-/// snapshot.
-fn smoke_run(mode: ExecMode, scheduler: &str, calibration: Option<f64>) -> Snapshot {
+/// One telemetry-enabled smoke run under the windowed scheduler, returning
+/// its validated snapshot.
+fn smoke_run(calibration: Option<f64>) -> Snapshot {
+    let scheduler = "windowed";
     let w = benchmark("gcc", 0.2).expect("gcc workload exists");
     let cfg = SlipstreamConfig::cmp_2x64x4();
     let mut proc = SlipstreamProcessor::new(cfg.clone(), &w.program);
     proc.enable_telemetry();
     assert!(
-        proc.run_mode(mode, MAX_CYCLES),
+        proc.run_mode(ExecMode::Windowed, MAX_CYCLES),
         "{scheduler}: smoke run did not complete"
     );
     let tel = proc.take_telemetry().expect("telemetry was enabled");
@@ -215,7 +193,7 @@ fn smoke_run(mode: ExecMode, scheduler: &str, calibration: Option<f64>) -> Snaps
     let span = |name: &str| snap.spans.iter().find(|s| s.name == name);
     let run_total = span("run_total").expect("run_total span").total_nanos;
     let mut named = 0u64;
-    for name in exclusive_set(scheduler) {
+    for name in WINDOWED_SET {
         named += span(name).map_or(0, |s| s.total_nanos);
     }
     assert!(
@@ -244,11 +222,8 @@ fn run_smoke(cpi: Option<&str>) {
         .ok()
         .as_deref()
         .and_then(committed_calibration);
-    let snaps = vec![
-        smoke_run(ExecMode::Windowed, "windowed", calibration),
-        smoke_run(ExecMode::Threaded, "threaded", calibration),
-    ];
-    let report = report_text(&snaps, read_cpi_doc(cpi).as_deref());
+    let snap = smoke_run(calibration);
+    let report = report_text(std::slice::from_ref(&snap), read_cpi_doc(cpi).as_deref());
     assert!(
         report.contains("= 100.0% of run_total"),
         "report must attribute the full run total"
@@ -256,7 +231,7 @@ fn run_smoke(cpi: Option<&str>) {
     std::fs::write(format!("{SMOKE_DIR}/report.txt"), &report)
         .unwrap_or_else(|e| panic!("write {SMOKE_DIR}/report.txt: {e}"));
     println!(
-        "telemetry_report --smoke: windowed + threaded runs round-tripped, exposition \
+        "telemetry_report --smoke: windowed run round-tripped, exposition \
          validated, attribution complete — artifacts in {SMOKE_DIR}/"
     );
 }

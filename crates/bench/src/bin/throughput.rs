@@ -17,15 +17,11 @@
 //!   library default)
 //! - `slipstream-l2` — CMP(2x64x4) with the shared 512 KB L2 and
 //!   bandwidth-limited memory port modeled, slack-window scheduler
-//! - `slipstream-threaded` — CMP(2x64x4), two OS threads over the SPSC
-//!   ring (only with `--parallel-cores`)
 //!
-//! Usage: `throughput [scale] [reps] [--parallel-cores] [--smoke]
-//! [--telemetry DIR]`
+//! Usage: `throughput [scale] [reps] [--smoke] [--telemetry DIR]`
 //!
 //! - `scale` stretches the workload suite (default 1.0), `reps` is runs
 //!   per measurement (default 3).
-//! - `--parallel-cores` adds the `slipstream-threaded` rows.
 //! - `--telemetry DIR` runs one extra telemetry-enabled suite pass per
 //!   slipstream model *after* the timed rows (so instrumentation cannot
 //!   perturb the measurements) and writes
@@ -40,7 +36,7 @@
 //!   shared model has slowed beyond the tolerance.
 //!
 //! The binary also runs an *allocation gate*: the whole process runs
-//! under a counting global allocator, and a pair of fixed-size
+//! under a per-thread counting global allocator, and a pair of fixed-size
 //! slack-window runs measures the marginal heap allocations per 10k
 //! retired instructions in steady state (the two-point measurement
 //! cancels one-time construction cost). The number is written to
@@ -51,32 +47,44 @@
 use std::time::Instant;
 
 /// Counting wrapper over the system allocator: every allocation path
-/// (fresh, zeroed, and growth via realloc) bumps one relaxed counter.
-/// Deallocation is free-of-charge — the gate cares about allocator
-/// pressure on the hot path, which frees alone do not create.
+/// (fresh, zeroed, and growth via realloc) bumps a counter owned by the
+/// calling thread, so the gate's measurement is never inflated by
+/// allocations another thread makes at the same time. Deallocation is
+/// free-of-charge — the gate cares about allocator pressure on the hot
+/// path, which frees alone do not create.
 mod alloc_counter {
     use std::alloc::{GlobalAlloc, Layout, System};
-    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::cell::Cell;
 
-    static CALLS: AtomicU64 = AtomicU64::new(0);
+    thread_local! {
+        // Const-initialised and without a destructor: reading it never
+        // allocates, which the allocator below depends on.
+        static CALLS: Cell<u64> = const { Cell::new(0) };
+    }
+
+    fn bump() {
+        // `try_with`: the slot is gone while a thread is being torn down.
+        let _ = CALLS.try_with(|c| c.set(c.get() + 1));
+    }
 
     pub struct CountingAlloc;
 
     // SAFETY: defers every allocation to `System`, which upholds the
-    // GlobalAlloc contract; the counter increment has no other effect.
+    // GlobalAlloc contract; the counter update neither allocates nor
+    // touches the memory handed out.
     unsafe impl GlobalAlloc for CountingAlloc {
         unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-            CALLS.fetch_add(1, Ordering::Relaxed);
+            bump();
             System.alloc(layout)
         }
 
         unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-            CALLS.fetch_add(1, Ordering::Relaxed);
+            bump();
             System.alloc_zeroed(layout)
         }
 
         unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-            CALLS.fetch_add(1, Ordering::Relaxed);
+            bump();
             System.realloc(ptr, layout, new_size)
         }
 
@@ -85,9 +93,9 @@ mod alloc_counter {
         }
     }
 
-    /// Total allocation calls since process start.
+    /// Allocation calls made so far by the calling thread.
     pub fn calls() -> u64 {
-        CALLS.load(Ordering::Relaxed)
+        CALLS.with(Cell::get)
     }
 }
 
@@ -164,18 +172,12 @@ fn best_of<F: FnMut() -> (u64, u64, [u64; 3])>(reps: u32, mut f: F) -> (u64, u64
 
 /// The models to measure, in output order: name, scheduler (None = the
 /// single-core baseline), and whether the shared-L2 memory system is on.
-fn models(parallel_cores: bool) -> Vec<(&'static str, Option<ExecMode>, bool)> {
-    let mut m = vec![
-        ("ss64", None, false),
-        ("slipstream", Some(ExecMode::Serial), false),
-        ("slipstream-window", Some(ExecMode::Windowed), false),
-        ("slipstream-l2", Some(ExecMode::Windowed), true),
-    ];
-    if parallel_cores {
-        m.push(("slipstream-threaded", Some(ExecMode::Threaded), false));
-    }
-    m
-}
+const MODELS: [(&str, Option<ExecMode>, bool); 4] = [
+    ("ss64", None, false),
+    ("slipstream", Some(ExecMode::Serial), false),
+    ("slipstream-window", Some(ExecMode::Windowed), false),
+    ("slipstream-l2", Some(ExecMode::Windowed), true),
+];
 
 /// The host-speed probe: a fixed arithmetic loop whose simulated work is
 /// independent of `scale`, so its instrs/s measures only the machine (and
@@ -322,13 +324,12 @@ fn measure(
 fn telemetry_pass(
     dir: &str,
     workloads: &[Workload],
-    model_list: &[(&'static str, Option<ExecMode>, bool)],
     cfg: &SlipstreamConfig,
     scale: f64,
     calibration_anchor: Option<f64>,
 ) {
     std::fs::create_dir_all(dir).unwrap_or_else(|e| panic!("create {dir}: {e}"));
-    for &(model, mode, shared_l2) in model_list {
+    for &(model, mode, shared_l2) in &MODELS {
         let Some(mode) = mode else {
             continue;
         };
@@ -351,7 +352,6 @@ fn telemetry_pass(
         let scheduler = match mode {
             ExecMode::Serial => "serial",
             ExecMode::Windowed => "windowed",
-            ExecMode::Threaded => "threaded",
         };
         let manifest = RunManifest::new("throughput", scheduler, &format!("{run_cfg:?}"))
             .label("model", model)
@@ -437,14 +437,12 @@ fn main() {
     let mut scale: Option<f64> = None;
     let mut reps: Option<u32> = None;
     let mut smoke = false;
-    let mut parallel_cores = false;
     let mut tel_dir: Option<String> = None;
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
             "--smoke" => smoke = true,
-            "--parallel-cores" => parallel_cores = true,
             "--telemetry" => {
                 i += 1;
                 tel_dir = Some(
@@ -459,17 +457,11 @@ fn main() {
         }
         i += 1;
     }
-    // Smoke mode measures every model: the regression gate should catch a
-    // slowdown in any scheduler, not just the default.
-    if smoke {
-        parallel_cores = true;
-    }
     let scale = scale.unwrap_or(if smoke { 0.2 } else { 1.0 });
     let reps = reps.unwrap_or(if smoke { 1 } else { 3 }).max(1);
 
     let workloads = suite(scale);
     let cfg = SlipstreamConfig::cmp_2x64x4();
-    let model_list = models(parallel_cores);
     let mut rows: Vec<Measurement> = Vec::new();
 
     println!(
@@ -480,7 +472,7 @@ fn main() {
     // committed file and the smoke pass always have a host-speed anchor.
     rows.push(calibration(reps));
     for w in &workloads {
-        for &(model, mode, shared_l2) in &model_list {
+        for &(model, mode, shared_l2) in &MODELS {
             rows.push(measure(w, &cfg, model, mode, shared_l2, reps));
         }
     }
@@ -551,7 +543,7 @@ fn main() {
             .iter()
             .find(|(m, _, _)| *m == "calibration")
             .map(|&(_, instrs, secs)| instrs as f64 / secs);
-        telemetry_pass(dir, &workloads, &model_list, &cfg, scale, anchor);
+        telemetry_pass(dir, &workloads, &cfg, scale, anchor);
     }
 
     if smoke {

@@ -42,7 +42,7 @@ pub use fuzz::{
 };
 pub use shrink::{live_count, shrink, ShrinkOutcome};
 pub use telemetry_export::{
-    committed_calibration, deterministic_jsonl, parse_jsonl, report_text, to_jsonl,
+    committed_calibration, deterministic_jsonl, parse_jsonl, report_text, to_jsonl, WINDOWED_SET,
 };
 pub use trace_export::{
     chrome_trace_json, cpi_stack_obj, first_divergence, lifecycles, metrics_json, pipeview_text,

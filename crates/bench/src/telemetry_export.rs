@@ -100,11 +100,10 @@ pub fn to_jsonl(snap: &Snapshot) -> String {
 }
 
 /// The snapshot's *deterministic* subset as JSONL: counters and value
-/// histograms only, minus the scheduling-dependent `ring_occupancy`. No
-/// manifest (its labels carry worker counts), no spans, no gauges —
-/// everything emitted here is a pure function of the simulated work, so
-/// two runs of the same work produce byte-identical output regardless of
-/// worker count. The determinism tests diff exactly this.
+/// histograms only. No manifest (its labels carry worker counts), no
+/// spans, no gauges — everything emitted here is a pure function of the
+/// simulated work, so two runs of the same work produce byte-identical
+/// output regardless of worker count. The determinism tests diff exactly this.
 pub fn deterministic_jsonl(snap: &Snapshot) -> String {
     let mut out = String::new();
     for (name, v) in &snap.counters {
@@ -118,9 +117,6 @@ pub fn deterministic_jsonl(snap: &Snapshot) -> String {
         out.push('\n');
     }
     for h in &snap.hists {
-        if h.name == "ring_occupancy" {
-            continue;
-        }
         out.push_str(&hist_line(h));
         out.push('\n');
     }
@@ -513,44 +509,24 @@ pub fn committed_calibration(doc: &str) -> Option<f64> {
 // ---- the unified run report -----------------------------------------------
 //
 // Each scheduler has one set of *exclusive top-level* spans: spans that
-// tile the measuring thread's run_total without overlapping (nested spans
-// like serial-mode r_boundary_sync are excluded). "other" is the exact
-// remainder, so the named rows plus "other" attribute 100% of run_total
-// by construction — the report's job is to show how small "other" is.
+// tile run_total without overlapping (nested spans like serial-mode
+// r_boundary_sync are excluded). "other" is the exact remainder, so the
+// named rows plus "other" attribute 100% of run_total by construction —
+// the report's job is to show how small "other" is.
 
 /// Serial scheduler: the whole loop is one span (`r_boundary_sync`
 /// nests inside it).
 const SERIAL_SET: &[&str] = &["serial_exec"];
 
-/// Windowed scheduler: single-threaded, so A- and R-side phases
-/// interleave on one thread and are all top-level. The untimed serial
-/// catch-up (`one_cycle`) lands in "other".
-const WINDOWED_SET: &[&str] = &[
+/// Windowed scheduler: A- and R-side phases interleave on one thread and
+/// are all top-level. The untimed serial catch-up (`one_cycle`) lands in
+/// "other". `telemetry_report --smoke` gates a real run against this set.
+pub const WINDOWED_SET: &[&str] = &[
     "a_checkpoint",
     "a_window_exec",
     "r_window_consume",
     "r_boundary_sync",
     "r_recovery_build",
-    "a_rollback_replay",
-    "a_recover_apply",
-];
-
-/// Threaded scheduler, main (R) thread — the thread whose elapsed time is
-/// `run_total`. A-side spans run on the spawned thread and are reported
-/// separately as utilization.
-const THREADED_SET: &[&str] = &[
-    "r_ring_pop_wait",
-    "r_window_consume",
-    "r_boundary_sync",
-    "r_recovery_build",
-];
-
-/// Threaded scheduler, A thread (utilization vs `run_total`).
-const THREADED_A_SET: &[&str] = &[
-    "a_checkpoint",
-    "a_window_exec",
-    "a_ring_push_wait",
-    "a_boundary_apply",
     "a_rollback_replay",
     "a_recover_apply",
 ];
@@ -589,7 +565,6 @@ fn attribution_section(out: &mut String, snap: &Snapshot) {
     let set: Option<&[&str]> = match snap.scheduler.as_str() {
         "serial" => Some(SERIAL_SET),
         "windowed" => Some(WINDOWED_SET),
-        "threaded" => Some(THREADED_SET),
         _ => None,
     };
     match (set, run_total) {
@@ -619,16 +594,6 @@ fn attribution_section(out: &mut String, snap: &Snapshot) {
                 pct(named.min(total), total),
                 pct(other, total)
             ));
-            if snap.scheduler == "threaded" {
-                out.push_str("  A-thread utilization (vs run_total):\n");
-                for name in THREADED_A_SET {
-                    let (count, nanos) = span_sum(snap, name);
-                    if count == 0 {
-                        continue;
-                    }
-                    push_row(out, name, count, nanos, total);
-                }
-            }
         }
         _ => {
             // Harness-level snapshots (campaign, fuzz, check.sh gates)
@@ -690,10 +655,9 @@ fn simulated_section(cpi_doc: &str) -> Option<String> {
 }
 
 /// The unified human-readable run report: per-snapshot manifest header,
-/// exclusive host wall-clock attribution (plus A-thread utilization for
-/// the threaded scheduler), counters/gauges/histograms, and — when a
-/// committed `BENCH_cpi_stack.json` is supplied — the simulated CPI-stack
-/// attribution alongside for contrast.
+/// exclusive host wall-clock attribution, counters/gauges/histograms,
+/// and — when a committed `BENCH_cpi_stack.json` is supplied — the
+/// simulated CPI-stack attribution alongside for contrast.
 pub fn report_text(snaps: &[Snapshot], cpi_doc: Option<&str>) -> String {
     let mut out = String::new();
     out.push_str("slipstream host-telemetry report\n");
@@ -760,13 +724,12 @@ mod tests {
         let mut tel = Telemetry::new();
         tel.record_span(SpanKind::RunTotal, 1_000_000);
         tel.record_span(SpanKind::RWindowConsume, 600_000);
-        tel.record_span(SpanKind::RRingPopWait, 100_000);
+        tel.record_span(SpanKind::AWindowExec, 100_000);
         tel.record_span(SpanKind::RBoundarySync, 50_000);
         tel.add(CounterKind::CampaignSites, 96);
         tel.set_gauge(GaugeKind::Workers, 3);
-        tel.record_value(HistKind::RingOccupancy, 5);
         tel.record_value(HistKind::CampaignSiteCycles, 40_000);
-        let m = RunManifest::new("throughput", "threaded", "cfg-debug")
+        let m = RunManifest::new("throughput", "windowed", "cfg-debug")
             .label("scale", "0.2")
             .calibration(Some(10_164_380.25));
         tel.snapshot(&m)
@@ -807,7 +770,6 @@ mod tests {
         let text = deterministic_jsonl(&sample_snapshot());
         assert!(text.contains("campaign_sites"));
         assert!(text.contains("campaign_site_cycles"));
-        assert!(!text.contains("ring_occupancy"), "scheduling-dependent");
         assert!(!text.contains("\"span\""), "spans are host-dependent");
         assert!(
             !text.contains("\"gauge\""),
@@ -833,7 +795,7 @@ mod tests {
         let report = report_text(std::slice::from_ref(&snap), None);
         assert!(report.contains("run_total = 1.000 ms"));
         assert!(report.contains("r_window_consume"));
-        assert!(report.contains("r_ring_pop_wait"));
+        assert!(report.contains("a_window_exec"));
         // 600k + 100k + 50k named of 1M total -> 25% other.
         assert!(
             report.contains("75.0% named + 25.0% other = 100.0%"),

@@ -1,9 +1,9 @@
 //! Scheduler-equivalence tests at the bench layer: the flight recorder's
 //! five-sink merge, the trace exporters, the checked-in fuzz corpus, and a
 //! traced fault experiment must all be byte-identical whether the
-//! processor runs serial, slack-windowed, or on two threads. Every event
-//! carries simulated cycles — never wall-clock — so decoupled execution
-//! cannot leak into any artifact.
+//! processor runs serial or slack-windowed. Every event carries simulated
+//! cycles — never wall-clock — so decoupled execution cannot leak into any
+//! artifact.
 
 use std::path::Path;
 
@@ -16,7 +16,6 @@ use slipstream_isa::{assemble, Program};
 use slipstream_workloads::benchmark;
 
 const BUDGET: u64 = 1_000_000;
-const ALT_MODES: [ExecMode; 2] = [ExecMode::Windowed, ExecMode::Threaded];
 
 fn traced_run(
     program: &Program,
@@ -64,11 +63,10 @@ fn five_sink_merge_is_byte_identical_across_schedulers() {
     let (halted, reference) = traced_run(&w.program, ExecMode::Serial, None);
     assert!(halted);
     assert!(!reference.events.is_empty() && !reference.samples.is_empty());
-    for mode in ALT_MODES {
-        let (halted, got) = traced_run(&w.program, mode, None);
-        assert!(halted);
-        assert_recordings_identical("vortex", mode, &reference, &got);
-    }
+    let mode = ExecMode::Windowed;
+    let (halted, got) = traced_run(&w.program, mode, None);
+    assert!(halted);
+    assert_recordings_identical("vortex", mode, &reference, &got);
 }
 
 #[test]
@@ -92,11 +90,10 @@ fn shared_l2_recording_is_byte_identical_across_schedulers() {
         reference.events.iter().any(|e| e.kind == EventKind::L2Miss),
         "cold L1 misses must surface as L2 misses in the recording"
     );
-    for mode in ALT_MODES {
-        let (halted, got) = run(mode);
-        assert!(halted);
-        assert_recordings_identical("vortex+l2", mode, &reference, &got);
-    }
+    let mode = ExecMode::Windowed;
+    let (halted, got) = run(mode);
+    assert!(halted);
+    assert_recordings_identical("vortex+l2", mode, &reference, &got);
 }
 
 #[test]
@@ -108,11 +105,10 @@ fn traced_fault_detection_is_byte_identical_across_schedulers() {
     let fault = Some(FaultSpec { seq: 9_000, bit: 5 });
     let (halted, reference) = traced_run(&w.program, ExecMode::Serial, fault);
     assert!(halted);
-    for mode in ALT_MODES {
-        let (halted, got) = traced_run(&w.program, mode, fault);
-        assert!(halted);
-        assert_recordings_identical("m88ksim+fault", mode, &reference, &got);
-    }
+    let mode = ExecMode::Windowed;
+    let (halted, got) = traced_run(&w.program, mode, fault);
+    assert!(halted);
+    assert_recordings_identical("m88ksim+fault", mode, &reference, &got);
 }
 
 #[test]
@@ -140,14 +136,13 @@ fn checked_in_fuzz_corpus_replays_identically_across_schedulers() {
         };
         let reference = run(ExecMode::Serial);
         assert!(reference.0, "{}: corpus entry must halt", path.display());
-        for mode in ALT_MODES {
-            assert_eq!(
-                run(mode),
-                reference,
-                "{}: {mode:?} diverged from serial",
-                path.display()
-            );
-        }
+        let mode = ExecMode::Windowed;
+        assert_eq!(
+            run(mode),
+            reference,
+            "{}: {mode:?} diverged from serial",
+            path.display()
+        );
     }
     assert!(seen >= 3, "expected the seed corpus entries, found {seen}");
 }

@@ -4,33 +4,51 @@
 //! This is the same two-point marginal measurement `throughput --smoke`
 //! gates against the committed ceiling, run here against an absolute
 //! bound so `cargo test` catches a regression without the bench artifact.
+//!
+//! Allocations are counted per thread: the test harness runs this file's
+//! tests concurrently, and each must measure only its own runs.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use slipstream_bench::MAX_CYCLES;
 use slipstream_core::{ExecMode, SlipstreamConfig, SlipstreamProcessor};
 use slipstream_workloads::suite;
 
-static CALLS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // Const-initialised and without a destructor: reading it never
+    // allocates, which the allocator below depends on.
+    static CALLS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn bump() {
+    // `try_with`: the slot is gone while a thread is being torn down.
+    let _ = CALLS.try_with(|c| c.set(c.get() + 1));
+}
+
+/// Allocation calls made so far by the calling thread.
+fn thread_calls() -> u64 {
+    CALLS.with(Cell::get)
+}
 
 struct CountingAlloc;
 
 // SAFETY: defers every allocation to `System`, which upholds the
-// GlobalAlloc contract; the counter increment has no other effect.
+// GlobalAlloc contract; the counter update neither allocates nor touches
+// the memory handed out.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        CALLS.fetch_add(1, Ordering::Relaxed);
+        bump();
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        CALLS.fetch_add(1, Ordering::Relaxed);
+        bump();
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        CALLS.fetch_add(1, Ordering::Relaxed);
+        bump();
         System.realloc(ptr, layout, new_size)
     }
 
@@ -69,7 +87,7 @@ fn gate_run(scale: f64, telemetry: bool) -> (u64, u64) {
         .iter()
         .find(|w| w.name == "m88ksim")
         .unwrap_or(&workloads[0]);
-    let before = CALLS.load(Ordering::Relaxed);
+    let before = thread_calls();
     let mut proc = SlipstreamProcessor::new(SlipstreamConfig::cmp_2x64x4(), &w.program);
     if telemetry {
         proc.enable_telemetry();
@@ -77,10 +95,7 @@ fn gate_run(scale: f64, telemetry: bool) -> (u64, u64) {
     assert_eq!(proc.telemetry_enabled(), telemetry);
     assert!(proc.run_mode(ExecMode::Windowed, MAX_CYCLES));
     let stats = proc.stats();
-    (
-        CALLS.load(Ordering::Relaxed) - before,
-        stats.a_retired + stats.r_retired,
-    )
+    (thread_calls() - before, stats.a_retired + stats.r_retired)
 }
 
 /// The marginal slope between a short and a longer run: one-time costs

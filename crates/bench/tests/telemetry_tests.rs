@@ -5,7 +5,7 @@
 
 use slipstream_bench::{
     deterministic_jsonl, parse_jsonl, report_text, run_campaign_telemetry, run_fuzz_telemetry,
-    to_jsonl, CampaignConfig, FuzzConfig, MAX_CYCLES, TARGETS,
+    to_jsonl, CampaignConfig, FuzzConfig, MAX_CYCLES, TARGETS, WINDOWED_SET,
 };
 use slipstream_core::standard_invariants;
 use slipstream_core::telemetry::{RunManifest, Telemetry};
@@ -53,20 +53,20 @@ fn fuzz_telemetry_aggregates_are_worker_count_independent() {
 }
 
 #[test]
-fn threaded_run_attributes_its_wall_clock_to_named_spans() {
+fn windowed_run_attributes_its_wall_clock_to_named_spans() {
     let w = benchmark("compress", 0.2).expect("compress workload exists");
     let cfg = SlipstreamConfig::cmp_2x64x4();
     let mut proc = SlipstreamProcessor::new(cfg.clone(), &w.program);
     proc.enable_telemetry();
-    assert!(proc.run_mode(ExecMode::Threaded, MAX_CYCLES));
+    assert!(proc.run_mode(ExecMode::Windowed, MAX_CYCLES));
     let tel = proc.take_telemetry().expect("telemetry was enabled");
-    let manifest = RunManifest::new("telemetry_tests", "threaded", &format!("{cfg:?}"));
+    let manifest = RunManifest::new("telemetry_tests", "windowed", &format!("{cfg:?}"));
     let snap = tel.snapshot(&manifest);
 
     let span = |name: &str| snap.spans.iter().find(|s| s.name == name);
     let run_total = span("run_total").expect("run_total recorded").total_nanos;
     assert!(run_total > 0);
-    // Both threads must have produced their core spans.
+    // Both sides of the machine must have produced their core spans.
     for required in [
         "a_window_exec",
         "a_checkpoint",
@@ -75,32 +75,18 @@ fn threaded_run_attributes_its_wall_clock_to_named_spans() {
     ] {
         assert!(
             span(required).is_some_and(|s| s.count > 0),
-            "{required} missing from a threaded telemetry run"
+            "{required} missing from a windowed telemetry run"
         );
     }
-    // The R-side exclusive set nests inside run_total, so its sum is
-    // bounded by it — this is what makes the "other" remainder (and the
-    // report's 100% attribution) well-defined.
-    let named: u64 = [
-        "r_ring_pop_wait",
-        "r_window_consume",
-        "r_boundary_sync",
-        "r_recovery_build",
-    ]
-    .iter()
-    .filter_map(|n| span(n))
-    .map(|s| s.total_nanos)
-    .sum();
-    assert!(named <= run_total, "exclusive spans exceed run_total");
-
-    // The ring-occupancy histogram is sampled once per consumed window.
-    let ring = snap
-        .hists
+    // The exclusive set nests inside run_total, so its sum is bounded by
+    // it — this is what makes the "other" remainder (and the report's 100%
+    // attribution) well-defined.
+    let named: u64 = WINDOWED_SET
         .iter()
-        .find(|h| h.name == "ring_occupancy")
-        .expect("ring_occupancy sampled");
-    let consumed = span("r_window_consume").unwrap().count;
-    assert_eq!(ring.count, consumed);
+        .filter_map(|n| span(n))
+        .map(|s| s.total_nanos)
+        .sum();
+    assert!(named <= run_total, "exclusive spans exceed run_total");
 
     // The report over this snapshot attributes the full run total.
     let report = report_text(std::slice::from_ref(&snap), None);

@@ -93,10 +93,10 @@ pub struct SlipstreamConfig {
     pub removal: RemovalPolicy,
     /// Slack-window synchronization quantum in cycles: all schedulers
     /// apply deferred learning and refresh delay-buffer credits at
-    /// boundaries this many cycles apart, and the windowed/threaded
-    /// schedulers advance the A-core a whole window per burst. `0` is
-    /// treated as `1`. For a *given* quantum the serial, windowed, and
-    /// threaded schedulers are byte-identical; the quantum itself is an
+    /// boundaries this many cycles apart, and the windowed scheduler
+    /// advances the A-core a whole window per burst. `0` is treated as
+    /// `1`. For a *given* quantum the serial and windowed schedulers are
+    /// byte-identical; the quantum itself is an
     /// architectural parameter (it sets the training-visibility latency,
     /// like any pipeline depth).
     pub sync_quantum: usize,
@@ -104,7 +104,7 @@ pub struct SlipstreamConfig {
     /// private L1s. `None` (the historical model) backs every L1 miss with
     /// its flat `miss_penalty` and zero contention. Cross-core contention
     /// is accounted deterministically at sync-boundary granularity (see
-    /// `slipstream_cpu::L2View`), so all three schedulers stay
+    /// `slipstream_cpu::L2View`), so both schedulers stay
     /// byte-identical.
     pub l2: Option<L2Config>,
 }

@@ -10,19 +10,10 @@
 
 use std::collections::VecDeque;
 
-use slipstream_isa::FastHashMap;
-
-/// Whether `SLIP_DEBUG_FE` was set, read once: an `env::var_os` per
-/// prepared trace was a measurable cost in the fetch hot path.
-fn debug_fe() -> bool {
-    static ON: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *ON.get_or_init(|| std::env::var_os("SLIP_DEBUG_FE").is_some())
-}
-
 use slipstream_cpu::{
     CoreDriver, DriverStall, EventKind, FetchBlock, FetchItem, TraceSink, NO_SEQ,
 };
-use slipstream_isa::{Instr, Program, Retired};
+use slipstream_isa::{FastHashMap, Instr, Program, Retired};
 use slipstream_predict::{
     materialize_into, PathHistory, TraceId, TracePredictor, TracePredictorConfig,
     TracePredictorStats, MAX_TRACE_LEN,
@@ -497,23 +488,6 @@ impl TraceFrontEnd {
             return false;
         };
         let pcs = std::mem::take(&mut self.pcs_scratch);
-        if debug_fe() {
-            eprintln!(
-                "prep ctx={:016x} used=({:#x},{:x},bc{},l{}) pred={}",
-                self.spec_hist.context_hash(),
-                used_id.start_pc,
-                used_id.outcomes,
-                used_id.branch_count,
-                used_id.len,
-                match predicted {
-                    Some(p) => format!(
-                        "({:#x},{:x},bc{},l{})",
-                        p.start_pc, p.outcomes, p.branch_count, p.len
-                    ),
-                    None => "none".into(),
-                }
-            );
-        }
         // Context under which this trace's removal entry lives: the path
         // history *before* the trace itself.
         let context_key = self.spec_hist.context_hash();
@@ -818,8 +792,8 @@ impl TraceFrontEnd {
     /// Applies all deferred learning: predictor training, retired path
     /// history, trace-cache update, and the commit histogram, in commit
     /// order. Called at slack-window boundaries (and before recovery
-    /// repairs) by every scheduler, so serial, windowed, and threaded
-    /// execution observe byte-identical predictor state.
+    /// repairs) by both schedulers, so serial and windowed execution
+    /// observe byte-identical predictor state.
     pub fn apply_training(&mut self) {
         // Indexed drain: `mem::take` here would drop the queue's buffer and
         // re-allocate it one trace later, once per trace for the rest of

@@ -13,21 +13,19 @@
 //! IR-detector training, recovery) is latency-tolerant — it only has to
 //! reach the A-stream within a bounded slack. The machine is therefore
 //! split into an [`AHalf`] and an [`RHalf`] exchanging per-cycle
-//! [`CycleBatch`]es, with three interchangeable schedulers that all
-//! produce byte-identical results:
+//! [`CycleBatch`]es, with two interchangeable schedulers (selected by
+//! [`ExecMode`]) that produce byte-identical results:
 //!
-//! - **serial** ([`SlipstreamProcessor::step`] /
-//!   [`SlipstreamProcessor::run_serial`]) — one batch at a time, cores in
-//!   lockstep; the reference semantics.
-//! - **slack-window** ([`SlipstreamProcessor::run`], the default) — the
-//!   A-stream runs `sync_quantum` cycles in a burst against a boundary
-//!   credit budget, then the R-stream consumes the whole window; recovery
-//!   rolls the A-stream back to a boundary checkpoint and deterministically
-//!   replays it to the exact recovery cycle.
-//! - **two threads** ([`SlipstreamProcessor::run_parallel`]) — the same
-//!   window protocol with the A-stream on its own thread, publishing
-//!   batches through a bounded lock-free SPSC ring and receiving one sync
-//!   report per window.
+//! - **serial** ([`SlipstreamProcessor::step`], [`ExecMode::Serial`]) — one
+//!   batch at a time, cores in lockstep; the reference semantics.
+//! - **slack-window** ([`SlipstreamProcessor::run`], [`ExecMode::Windowed`],
+//!   the default) — the A-stream runs `sync_quantum` cycles in a burst
+//!   against a boundary credit budget, then the R-stream consumes the whole
+//!   window; recovery rolls the A-stream back to a boundary checkpoint and
+//!   deterministically replays it to the exact recovery cycle.
+//!
+//! Both run on the calling thread: the paper's two cores are modeled, not
+//! mapped onto two host threads.
 //!
 //! Determinism rests on three invariants, enforced here and in
 //! [`TraceFrontEnd`]: (1) all learning (trace-predictor training,
@@ -41,8 +39,7 @@
 use slipstream_cpu::{merge_l2_logs, Core, CoreStats, FaultSpec, L2Access, L2View};
 use slipstream_isa::{ArchState, MemWidth, Memory, Program, Retired, NUM_REGS};
 use slipstream_predict::{PathHistory, TraceId};
-use slipstream_spsc as spsc;
-use slipstream_telemetry::{GaugeKind, HistKind, SpanKind, Telemetry};
+use slipstream_telemetry::{GaugeKind, SpanKind, Telemetry};
 use std::time::Instant;
 
 use crate::config::SlipstreamConfig;
@@ -61,16 +58,14 @@ use crate::trace::{
 /// wedged (a harness bug, not a program property) and we panic loudly.
 const HARNESS_WATCHDOG: u64 = 2_000_000;
 
-/// Which scheduler [`SlipstreamProcessor::run_mode`] uses. All three are
+/// Which scheduler [`SlipstreamProcessor::run_mode`] uses. Both are
 /// byte-identical in results; they differ only in wall-clock performance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecMode {
     /// Cycle-by-cycle lockstep (the reference semantics).
     Serial,
-    /// Slack-window batching on one thread (the default).
+    /// Slack-window batching (the default).
     Windowed,
-    /// Slack-window batching across two threads via the SPSC ring.
-    Threaded,
 }
 
 /// End-of-run summary of a slipstream execution.
@@ -122,8 +117,8 @@ pub struct SlipstreamStats {
 }
 
 /// One simulated cycle's worth of A→R traffic: everything the A-stream
-/// produced at `cycle` that the R-stream consumes. In windowed/threaded
-/// modes a window's batches exist *outside* the delay buffer until the
+/// produced at `cycle` that the R-stream consumes. In the windowed
+/// scheduler a window's batches exist *outside* the delay buffer until the
 /// R-stream pushes them in — capacity accounting happens on the A side via
 /// the boundary credit budget, mirroring the real buffer's limits.
 #[derive(Debug, Default)]
@@ -133,9 +128,9 @@ struct CycleBatch {
     commits: Vec<TraceCommit>,
     applied: Vec<(u64, TraceId)>,
     /// Shared-L2 accesses the A-core made this cycle. The R side
-    /// accumulates them so a recovery (or threaded boundary) can rebuild
-    /// the merged arbitration stream without asking the A side — whose
-    /// core may have run ahead.
+    /// accumulates them so a recovery can rebuild the merged arbitration
+    /// stream without asking the A side — whose core may have run ahead to
+    /// the window end.
     l2_log: Vec<L2Access>,
     sample: Option<ASample>,
 }
@@ -188,29 +183,6 @@ struct RecoverCmd {
     strict_mem: Option<Memory>,
 }
 
-/// One sync report per window, R-thread → A-thread.
-#[allow(clippy::large_enum_variant)] // one Report per window, never stored
-enum Report {
-    /// Window completed cleanly: boundary credits + deferred observations
-    /// (+ the R-core's shared-L2 log for the A side's boundary merge).
-    Boundary {
-        data_occ: usize,
-        ctrl_occ: usize,
-        obs: Vec<(u64, TraceId, RemovalInfo)>,
-        l2_log: Vec<L2Access>,
-    },
-    /// IR-misprediction inside the window.
-    Recover(RecoverCmd),
-    /// `halt` retired inside the window at `cycle`.
-    Halted {
-        /// The halt cycle the A-stream must roll back to.
-        cycle: u64,
-    },
-    /// Budget-clamped final window: stop without a boundary sync (keeps
-    /// the window grid identical to the single-threaded schedulers).
-    Done,
-}
-
 /// The leading core and its front end: everything the A-stream touches
 /// while running a window, plus the boundary credit budget that stands in
 /// for live delay-buffer back-pressure.
@@ -230,8 +202,7 @@ struct AHalf {
     /// A-side counters are captured at exactly the due cycles.
     sample_interval: u64,
     /// Host-side telemetry (`None` = off, the zero-cost default). Boxed so
-    /// the registry's fixed arrays don't bloat the half that the threaded
-    /// scheduler moves across threads.
+    /// the registry's fixed arrays stay off the hot struct.
     tel: Option<Box<Telemetry>>,
 }
 
@@ -677,9 +648,9 @@ impl RHalf {
     }
 }
 
-/// The sync-boundary handshake, single-threaded form: flush deferred
-/// learning into the A side's predictor/IR-table and refresh its credit
-/// budget from live delay-buffer occupancy.
+/// The sync-boundary handshake: flush deferred learning into the A side's
+/// predictor/IR-table and refresh its credit budget from live delay-buffer
+/// occupancy.
 fn boundary_sync(a: &mut AHalf, r: &mut RHalf) {
     let t0 = tel_now(&r.tel);
     a.fe.apply_training();
@@ -703,105 +674,6 @@ fn boundary_sync(a: &mut AHalf, r: &mut RHalf) {
     a.data_pushed = 0;
     a.ctrl_pushed = 0;
     tel_span(&mut r.tel, SpanKind::RBoundarySync, t0);
-}
-
-/// The A-stream's thread body in [`SlipstreamProcessor::run_parallel`]:
-/// produce each window into the SPSC ring, then block for the R-thread's
-/// one-per-window report. Both sides compute the window grid from the same
-/// `(anchor, quantum, max_cycles)`, so no further coordination is needed.
-fn a_stream_thread(
-    a: &mut AHalf,
-    mut anchor: u64,
-    quantum: u64,
-    max_cycles: u64,
-    mut out: spsc::Producer<CycleBatch>,
-    reports: std::sync::mpsc::Receiver<Report>,
-    recycle: std::sync::mpsc::Receiver<CycleBatch>,
-) {
-    let mut scratch = CycleBatch::default();
-    // Reused window checkpoint (see `SlipstreamProcessor::window_ck`).
-    let mut ck_slot: Option<ACheckpoint> = None;
-    while anchor < max_cycles {
-        let window_end = (anchor + quantum).min(max_cycles);
-        debug_assert_eq!(a.cycles, anchor, "windows start at the anchor");
-        let t0 = tel_now(&a.tel);
-        match &mut ck_slot {
-            Some(ck) => a.checkpoint_into(ck),
-            None => ck_slot = Some(a.checkpoint()),
-        }
-        tel_span(&mut a.tel, SpanKind::ACheckpoint, t0);
-        let ck = ck_slot.as_ref().expect("checkpointed above");
-        let t0 = tel_now(&a.tel);
-        // Ring-full waits are timed separately and subtracted, so
-        // `a_window_exec` is pure execution and `a_ring_push_wait` is pure
-        // back-pressure (the quantity SPSC tuning needs).
-        let mut wait_nanos = 0u64;
-        for _ in anchor..window_end {
-            let mut batch = recycle.try_recv().unwrap_or_default();
-            a.run_cycle(&mut batch);
-            if let Err(batch) = out.try_push(batch) {
-                let w0 = tel_now(&a.tel);
-                let pushed = out.push(batch);
-                if let (Some(w0), Some(tel)) = (w0, a.tel.as_deref_mut()) {
-                    let nanos = w0.elapsed().as_nanos() as u64;
-                    wait_nanos += nanos;
-                    tel.record_span(SpanKind::ARingPushWait, nanos);
-                }
-                if pushed.is_err() {
-                    return; // R side exited (panic propagates via scope join)
-                }
-            }
-        }
-        if let (Some(t0), Some(tel)) = (t0, a.tel.as_deref_mut()) {
-            let nanos = t0.elapsed().as_nanos() as u64;
-            tel.record_span(SpanKind::AWindowExec, nanos.saturating_sub(wait_nanos));
-        }
-        let Ok(report) = reports.recv() else {
-            return;
-        };
-        match report {
-            Report::Boundary {
-                data_occ,
-                ctrl_occ,
-                obs,
-                l2_log,
-            } => {
-                let t0 = tel_now(&a.tel);
-                a.fe.apply_training();
-                for (key, id, info) in obs {
-                    a.fe.ir_table.observe(key, id, info);
-                }
-                // Shared-L2 boundary merge, A side: own log + the shipped
-                // R log is the same stream the R thread already applied.
-                let a_l2 = a.core.l2_take_log();
-                let merged = merge_l2_logs(&a_l2, &l2_log);
-                a.core.l2_apply_boundary(&merged);
-                a.data_occ = data_occ;
-                a.ctrl_occ = ctrl_occ;
-                a.data_pushed = 0;
-                a.ctrl_pushed = 0;
-                tel_span(&mut a.tel, SpanKind::ABoundaryApply, t0);
-                anchor = window_end;
-            }
-            Report::Recover(cmd) => {
-                let cycle = cmd.cycle;
-                let t0 = tel_now(&a.tel);
-                a.rollback_replay(ck, cycle, &mut scratch);
-                tel_span(&mut a.tel, SpanKind::ARollbackReplay, t0);
-                let t0 = tel_now(&a.tel);
-                a.apply_recover(&cmd);
-                tel_span(&mut a.tel, SpanKind::ARecoverApply, t0);
-                anchor = cycle;
-            }
-            Report::Halted { cycle } => {
-                let t0 = tel_now(&a.tel);
-                a.rollback_replay(ck, cycle, &mut scratch);
-                tel_span(&mut a.tel, SpanKind::ARollbackReplay, t0);
-                return;
-            }
-            Report::Done => return,
-        }
-    }
 }
 
 /// A slipstream processor built from two identical cores.
@@ -923,10 +795,9 @@ impl SlipstreamProcessor {
 
     /// Turns on host-side telemetry: wall-clock span timers around the
     /// scheduler phases (window execution, boundary sync, checkpoint,
-    /// rollback/replay, SPSC ring push/pop waits) plus ring-occupancy
-    /// sampling in the threaded scheduler. Off by default; the off path
-    /// pays only never-taken `Option` branches — no `Instant::now` calls
-    /// and no allocations (enforced by the throughput harness's
+    /// rollback/replay, recovery). Off by default; the off path pays only
+    /// never-taken `Option` branches — no `Instant::now` calls and no
+    /// allocations (enforced by the throughput harness's
     /// marginal-allocation gate).
     pub fn enable_telemetry(&mut self) {
         let mut r_tel = Box::new(Telemetry::new());
@@ -1133,14 +1004,13 @@ impl SlipstreamProcessor {
         let done = match mode {
             ExecMode::Serial => self.run_serial(max_cycles),
             ExecMode::Windowed => self.run_windowed(max_cycles),
-            ExecMode::Threaded => self.run_parallel(max_cycles),
         };
         tel_span(&mut self.r.tel, SpanKind::RunTotal, t0);
         done
     }
 
     /// Cycle-by-cycle lockstep run (the reference scheduler).
-    pub fn run_serial(&mut self, max_cycles: u64) -> bool {
+    fn run_serial(&mut self, max_cycles: u64) -> bool {
         let t0 = tel_now(&self.r.tel);
         while !self.halted() && self.r.cycles < max_cycles {
             self.step();
@@ -1156,7 +1026,7 @@ impl SlipstreamProcessor {
     /// and replays to the exact detection cycle before recovering —
     /// byte-identical to the serial scheduler, but with all the cross-core
     /// ping-ponging (and its cache traffic) hoisted out of the hot loop.
-    pub fn run_windowed(&mut self, max_cycles: u64) -> bool {
+    fn run_windowed(&mut self, max_cycles: u64) -> bool {
         let q = self.quantum();
         while !self.halted() && self.r.cycles < max_cycles {
             self.maybe_boundary();
@@ -1225,154 +1095,6 @@ impl SlipstreamProcessor {
                 }
             }
         }
-        self.finish_run()
-    }
-
-    /// Two-thread run: the A-stream executes on its own thread, publishing
-    /// cycle batches through a bounded lock-free SPSC ring sized to one
-    /// window (back-pressure semantics are carried by the boundary credit
-    /// budget, which mirrors the delay buffer's configured capacities).
-    /// The R-stream consumes on the calling thread and sends exactly one
-    /// sync report per window. Results are byte-identical to the other
-    /// schedulers; a panic on either thread propagates to the caller.
-    pub fn run_parallel(&mut self, max_cycles: u64) -> bool {
-        // Catch up serially to a sync boundary (a previous run may have
-        // stopped mid-window at its cycle budget).
-        loop {
-            if self.halted() || self.r.cycles >= max_cycles {
-                return self.finish_run();
-            }
-            self.maybe_boundary();
-            if self.a.cycles == self.anchor {
-                break;
-            }
-            self.one_cycle();
-        }
-
-        let q = self.quantum();
-        let anchor0 = self.anchor;
-        let a = &mut self.a;
-        let r = &mut self.r;
-        let program = &self.program;
-        let (batch_tx, mut batch_rx) = spsc::ring::<CycleBatch>(q as usize);
-        let (report_tx, report_rx) = std::sync::mpsc::channel::<Report>();
-        let (recycle_tx, recycle_rx) = std::sync::mpsc::channel::<CycleBatch>();
-        let mut final_anchor = anchor0;
-        if let Some(tel) = r.tel.as_deref_mut() {
-            tel.set_gauge(GaugeKind::RingCapacity, batch_rx.capacity() as u64);
-        }
-
-        std::thread::scope(|scope| {
-            scope.spawn(move || {
-                a_stream_thread(a, anchor0, q, max_cycles, batch_tx, report_rx, recycle_rx);
-            });
-
-            let mut anchor_r = anchor0;
-            'windows: while anchor_r < max_cycles {
-                let window_end = (anchor_r + q).min(max_cycles);
-                if let Some(tel) = r.tel.as_deref_mut() {
-                    tel.record_value(HistKind::RingOccupancy, batch_rx.occupancy() as u64);
-                }
-                let t0 = tel_now(&r.tel);
-                // Ring-empty waits and recovery building are timed
-                // separately and subtracted, so `r_window_consume` is pure
-                // consumption and `r_ring_pop_wait` is pure starvation.
-                let mut wait_nanos = 0u64;
-                let mut recover_nanos = 0u64;
-                let mut verdict: Option<Report> = None;
-                for _ in anchor_r..window_end {
-                    let mut batch = match batch_rx.try_pop() {
-                        Some(batch) => batch,
-                        None => {
-                            let w0 = tel_now(&r.tel);
-                            let Ok(batch) = batch_rx.pop() else {
-                                // A thread exited early (its panic
-                                // propagates when the scope joins).
-                                break 'windows;
-                            };
-                            if let (Some(w0), Some(tel)) = (w0, r.tel.as_deref_mut()) {
-                                let nanos = w0.elapsed().as_nanos() as u64;
-                                wait_nanos += nanos;
-                                tel.record_span(SpanKind::RRingPopWait, nanos);
-                            }
-                            batch
-                        }
-                    };
-                    if verdict.is_none() {
-                        match r.consume_cycle(&mut batch, program) {
-                            RPhase::Ok => {}
-                            RPhase::Misp => {
-                                let b0 = tel_now(&r.tel);
-                                let cmd = r.build_recover(program);
-                                if let (Some(b0), Some(tel)) = (b0, r.tel.as_deref_mut()) {
-                                    let nanos = b0.elapsed().as_nanos() as u64;
-                                    recover_nanos += nanos;
-                                    tel.record_span(SpanKind::RRecoveryBuild, nanos);
-                                }
-                                verdict = Some(Report::Recover(cmd));
-                            }
-                            RPhase::Halted => {
-                                verdict = Some(Report::Halted { cycle: r.cycles });
-                            }
-                        }
-                    }
-                    let _ = recycle_tx.send(batch);
-                }
-                if let (Some(t0), Some(tel)) = (t0, r.tel.as_deref_mut()) {
-                    let nanos = t0.elapsed().as_nanos() as u64;
-                    tel.record_span(
-                        SpanKind::RWindowConsume,
-                        nanos.saturating_sub(wait_nanos + recover_nanos),
-                    );
-                }
-                match verdict {
-                    None => {
-                        if window_end < anchor_r + q {
-                            // Budget-clamped final window: no boundary
-                            // sync, same as the other schedulers.
-                            let _ = report_tx.send(Report::Done);
-                            break 'windows;
-                        }
-                        let t0 = tel_now(&r.tel);
-                        // Shared-L2 boundary merge, R side (mirrors
-                        // `build_recover`): own log + accumulated A log.
-                        let r_l2 = r.core.l2_take_log();
-                        let a_l2 = std::mem::take(&mut r.pending_a_l2);
-                        let merged = merge_l2_logs(&a_l2, &r_l2);
-                        r.core.l2_apply_boundary(&merged);
-                        let report = Report::Boundary {
-                            data_occ: r.drv.delay.data_occupancy(),
-                            ctrl_occ: r.drv.delay.control_occupancy(),
-                            obs: std::mem::take(&mut r.obs_q),
-                            l2_log: r_l2,
-                        };
-                        let sent = report_tx.send(report);
-                        tel_span(&mut r.tel, SpanKind::RBoundarySync, t0);
-                        if sent.is_err() {
-                            break 'windows;
-                        }
-                        anchor_r = window_end;
-                    }
-                    Some(Report::Recover(cmd)) => {
-                        let cycle = cmd.cycle;
-                        if report_tx.send(Report::Recover(cmd)).is_err() {
-                            break 'windows;
-                        }
-                        anchor_r = cycle;
-                    }
-                    Some(rep @ Report::Halted { .. }) => {
-                        let _ = report_tx.send(rep);
-                        break 'windows;
-                    }
-                    Some(_) => unreachable!("R side only builds Recover/Halted verdicts"),
-                }
-            }
-            final_anchor = anchor_r;
-            // Dropping our endpoints unblocks the A thread if it is still
-            // pushing or waiting for a report.
-        });
-
-        self.anchor = final_anchor;
         self.finish_run()
     }
 

@@ -1,8 +1,8 @@
-//! Differential tests for the three slipstream schedulers: serial
-//! lockstep, slack-window batching, and two-thread decoupled execution
-//! must produce byte-identical architecture and statistics on every
-//! workload — including runs with IR-misprediction recoveries, injected
-//! faults, cycle-budget truncation, and chunked (stop/resume) driving.
+//! Differential tests for the two slipstream schedulers: serial lockstep
+//! and slack-window batching must produce byte-identical architecture and
+//! statistics on every workload — including runs with IR-misprediction
+//! recoveries, injected faults, cycle-budget truncation, and chunked
+//! (stop/resume) driving.
 
 use slipstream_core::{CpiCat, ExecMode, SlipstreamConfig, SlipstreamProcessor, SlipstreamStats};
 use slipstream_cpu::FaultSpec;
@@ -10,7 +10,7 @@ use slipstream_isa::{assemble, Program};
 use slipstream_workloads::{benchmark, suite};
 
 const MAX_CYCLES: u64 = 2_000_000;
-const MODES: [ExecMode; 3] = [ExecMode::Serial, ExecMode::Windowed, ExecMode::Threaded];
+const MODES: [ExecMode; 2] = [ExecMode::Serial, ExecMode::Windowed];
 
 /// Runs `program` under `mode` and returns everything observable.
 fn run_mode(
@@ -77,10 +77,9 @@ fn all_eight_benchmarks_identical_across_schedulers() {
     for w in suite(0.1) {
         let reference = run_mode(&w.program, &cfg, ExecMode::Serial, MAX_CYCLES);
         assert!(reference.1.halted, "{}: did not finish", w.name);
-        for mode in [ExecMode::Windowed, ExecMode::Threaded] {
-            let got = run_mode(&w.program, &cfg, mode, MAX_CYCLES);
-            assert_identical(w.name, mode, &reference, &got);
-        }
+        let mode = ExecMode::Windowed;
+        let got = run_mode(&w.program, &cfg, mode, MAX_CYCLES);
+        assert_identical(w.name, mode, &reference, &got);
     }
 }
 
@@ -95,10 +94,9 @@ fn recovery_heavy_workload_identical_across_schedulers() {
         reference.1.ir_mispredictions > 0,
         "test needs recoveries to be meaningful"
     );
-    for mode in [ExecMode::Windowed, ExecMode::Threaded] {
-        let got = run_mode(&w.program, &cfg, mode, MAX_CYCLES);
-        assert_identical("vortex", mode, &reference, &got);
-    }
+    let mode = ExecMode::Windowed;
+    let got = run_mode(&w.program, &cfg, mode, MAX_CYCLES);
+    assert_identical("vortex", mode, &reference, &got);
 }
 
 #[test]
@@ -111,10 +109,9 @@ fn awkward_quanta_stay_identical_to_serial() {
         let mut cfg = SlipstreamConfig::cmp_2x64x4();
         cfg.sync_quantum = quantum;
         let reference = run_mode(&w.program, &cfg, ExecMode::Serial, MAX_CYCLES);
-        for mode in [ExecMode::Windowed, ExecMode::Threaded] {
-            let got = run_mode(&w.program, &cfg, mode, MAX_CYCLES);
-            assert_identical(&format!("li q={quantum}"), mode, &reference, &got);
-        }
+        let mode = ExecMode::Windowed;
+        let got = run_mode(&w.program, &cfg, mode, MAX_CYCLES);
+        assert_identical(&format!("li q={quantum}"), mode, &reference, &got);
     }
 }
 
@@ -130,10 +127,9 @@ fn cycle_budget_truncation_identical_across_schedulers() {
     for budget in [(total / 4) | 1, (total / 2) | 1, (total * 3 / 4) | 1] {
         let reference = run_mode(&w.program, &cfg, ExecMode::Serial, budget);
         assert!(!reference.1.halted, "budget {budget} must truncate the run");
-        for mode in [ExecMode::Windowed, ExecMode::Threaded] {
-            let got = run_mode(&w.program, &cfg, mode, budget);
-            assert_identical(&format!("go budget={budget}"), mode, &reference, &got);
-        }
+        let mode = ExecMode::Windowed;
+        let got = run_mode(&w.program, &cfg, mode, budget);
+        assert_identical(&format!("go budget={budget}"), mode, &reference, &got);
     }
 }
 
@@ -169,14 +165,14 @@ fn chunked_driving_resumes_mid_window_identically() {
     let mut budget = 1013;
     let mut i = 0;
     while !p.halted() {
-        p.run_mode(MODES[i % 3], budget);
+        p.run_mode(MODES[i % 2], budget);
         budget += 1013;
         i += 1;
     }
     let got_stats = p.stats();
     assert_identical(
         "vortex mixed-mode chunks",
-        ExecMode::Threaded,
+        ExecMode::Windowed,
         &reference,
         &(p, got_stats),
     );
@@ -202,15 +198,14 @@ fn injected_faults_detected_identically_across_schedulers() {
             (p, stats)
         };
         let reference = run_with_fault(ExecMode::Serial);
-        for mode in [ExecMode::Windowed, ExecMode::Threaded] {
-            let got = run_with_fault(mode);
-            assert_identical(
-                &format!("fault seq={seq} bit={bit}"),
-                mode,
-                &reference,
-                &got,
-            );
-        }
+        let mode = ExecMode::Windowed;
+        let got = run_with_fault(mode);
+        assert_identical(
+            &format!("fault seq={seq} bit={bit}"),
+            mode,
+            &reference,
+            &got,
+        );
     }
 }
 
@@ -228,10 +223,9 @@ fn shared_l2_identical_across_schedulers() {
             + reference.1.r_core.l2_hits
             + reference.1.r_core.l2_misses;
         assert!(touched > 0, "{}: shared L2 never accessed", w.name);
-        for mode in [ExecMode::Windowed, ExecMode::Threaded] {
-            let got = run_mode(&w.program, &cfg, mode, MAX_CYCLES);
-            assert_identical(w.name, mode, &reference, &got);
-        }
+        let mode = ExecMode::Windowed;
+        let got = run_mode(&w.program, &cfg, mode, MAX_CYCLES);
+        assert_identical(w.name, mode, &reference, &got);
     }
 }
 
@@ -247,10 +241,9 @@ fn shared_l2_recovery_heavy_identical_across_schedulers() {
         reference.1.ir_mispredictions > 0,
         "test needs recoveries to be meaningful"
     );
-    for mode in [ExecMode::Windowed, ExecMode::Threaded] {
-        let got = run_mode(&w.program, &cfg, mode, MAX_CYCLES);
-        assert_identical("vortex+l2", mode, &reference, &got);
-    }
+    let mode = ExecMode::Windowed;
+    let got = run_mode(&w.program, &cfg, mode, MAX_CYCLES);
+    assert_identical("vortex+l2", mode, &reference, &got);
 }
 
 #[test]
@@ -263,10 +256,9 @@ fn shared_l2_awkward_quanta_stay_identical() {
         let mut cfg = SlipstreamConfig::cmp_shared_l2();
         cfg.sync_quantum = quantum;
         let reference = run_mode(&w.program, &cfg, ExecMode::Serial, MAX_CYCLES);
-        for mode in [ExecMode::Windowed, ExecMode::Threaded] {
-            let got = run_mode(&w.program, &cfg, mode, MAX_CYCLES);
-            assert_identical(&format!("li+l2 q={quantum}"), mode, &reference, &got);
-        }
+        let mode = ExecMode::Windowed;
+        let got = run_mode(&w.program, &cfg, mode, MAX_CYCLES);
+        assert_identical(&format!("li+l2 q={quantum}"), mode, &reference, &got);
     }
 }
 
@@ -289,15 +281,14 @@ fn shared_l2_injected_faults_identical_across_schedulers() {
             (p, stats)
         };
         let reference = run_with_fault(ExecMode::Serial);
-        for mode in [ExecMode::Windowed, ExecMode::Threaded] {
-            let got = run_with_fault(mode);
-            assert_identical(
-                &format!("l2 fault seq={seq} bit={bit}"),
-                mode,
-                &reference,
-                &got,
-            );
-        }
+        let mode = ExecMode::Windowed;
+        let got = run_with_fault(mode);
+        assert_identical(
+            &format!("l2 fault seq={seq} bit={bit}"),
+            mode,
+            &reference,
+            &got,
+        );
     }
 }
 
@@ -314,14 +305,14 @@ fn shared_l2_chunked_and_mixed_mode_driving() {
     let mut budget = 911;
     let mut i = 0;
     while !p.halted() {
-        p.run_mode(MODES[i % 3], budget);
+        p.run_mode(MODES[i % 2], budget);
         budget += 911;
         i += 1;
     }
     let got_stats = p.stats();
     assert_identical(
         "vortex+l2 mixed-mode chunks",
-        ExecMode::Threaded,
+        ExecMode::Windowed,
         &reference,
         &(p, got_stats),
     );
@@ -344,7 +335,7 @@ fn assert_cpi_exact(name: &str, s: &SlipstreamStats) {
 #[test]
 fn cpi_stacks_sum_to_cycles_and_match_across_schedulers() {
     // The acceptance grid: every suite workload, with and without the
-    // shared L2, under all three schedulers — per-core category sums must
+    // shared L2, under both schedulers — per-core category sums must
     // equal `CoreStats::cycles` exactly, and the full stacks must be
     // byte-identical to the serial reference.
     for (tag, cfg) in [
@@ -361,22 +352,21 @@ fn cpi_stacks_sum_to_cycles_and_match_across_schedulers() {
                 "{}: a finished run must retire in some cycles",
                 w.name
             );
-            for mode in [ExecMode::Windowed, ExecMode::Threaded] {
-                let mut p = SlipstreamProcessor::new(cfg.clone(), &w.program);
-                p.run_mode(mode, MAX_CYCLES);
-                let got = p.stats();
-                assert_cpi_exact(&format!("{} {tag} {mode:?}", w.name), &got);
-                assert_eq!(
-                    reference.a_core.cpi, got.a_core.cpi,
-                    "{} {tag}: {mode:?} A-stream CPI stack diverged from serial",
-                    w.name
-                );
-                assert_eq!(
-                    reference.r_core.cpi, got.r_core.cpi,
-                    "{} {tag}: {mode:?} R-stream CPI stack diverged from serial",
-                    w.name
-                );
-            }
+            let mode = ExecMode::Windowed;
+            let mut p = SlipstreamProcessor::new(cfg.clone(), &w.program);
+            p.run_mode(mode, MAX_CYCLES);
+            let got = p.stats();
+            assert_cpi_exact(&format!("{} {tag} {mode:?}", w.name), &got);
+            assert_eq!(
+                reference.a_core.cpi, got.a_core.cpi,
+                "{} {tag}: {mode:?} A-stream CPI stack diverged from serial",
+                w.name
+            );
+            assert_eq!(
+                reference.r_core.cpi, got.r_core.cpi,
+                "{} {tag}: {mode:?} R-stream CPI stack diverged from serial",
+                w.name
+            );
         }
     }
 }
@@ -401,17 +391,16 @@ fn cpi_stacks_exact_across_window_quanta() {
             serial.run_mode(ExecMode::Serial, MAX_CYCLES);
             let reference = serial.stats();
             assert_cpi_exact(&format!("{name} Serial"), &reference);
-            for mode in [ExecMode::Windowed, ExecMode::Threaded] {
-                let mut p = SlipstreamProcessor::new(cfg.clone(), &w.program);
-                p.run_mode(mode, MAX_CYCLES);
-                let got = p.stats();
-                assert_cpi_exact(&format!("{name} {mode:?}"), &got);
-                assert_eq!(
-                    (reference.a_core.cpi, reference.r_core.cpi),
-                    (got.a_core.cpi, got.r_core.cpi),
-                    "{name}: {mode:?} CPI stacks diverged from serial"
-                );
-            }
+            let mode = ExecMode::Windowed;
+            let mut p = SlipstreamProcessor::new(cfg.clone(), &w.program);
+            p.run_mode(mode, MAX_CYCLES);
+            let got = p.stats();
+            assert_cpi_exact(&format!("{name} {mode:?}"), &got);
+            assert_eq!(
+                (reference.a_core.cpi, reference.r_core.cpi),
+                (got.a_core.cpi, got.r_core.cpi),
+                "{name}: {mode:?} CPI stacks diverged from serial"
+            );
         }
     }
 }
@@ -420,8 +409,7 @@ fn cpi_stacks_exact_across_window_quanta() {
 fn retire_path_recycled_buffers_never_alias_live_delay_data() {
     // The zero-copy retire path circulates the same allocations through
     // `fe.out_entries` → `CycleBatch::entries` → delay-buffer chunks →
-    // the spare pool, in every scheduler (including across the threaded
-    // scheduler's recycle channel). If any recycled buffer aliased live
+    // the spare pool, in every scheduler. If any recycled buffer aliased live
     // data — a chunk returned to the pool while the R-stream still reads
     // it, or a batch reused before its window is consumed — the delay
     // buffer's contents would diverge between schedulers somewhere
@@ -440,32 +428,26 @@ fn retire_path_recycled_buffers_never_alias_live_delay_data() {
             p
         };
         let mut serial = make();
-        let mut others: Vec<(ExecMode, SlipstreamProcessor)> =
-            [ExecMode::Windowed, ExecMode::Threaded]
-                .into_iter()
-                .map(|m| (m, make()))
-                .collect();
+        let mut windowed = make();
         let mut budget = 911u64; // prime: lands mid-window almost always
         let mut pauses = 0u64;
         while !serial.halted() {
             serial.run_mode(ExecMode::Serial, budget);
             let (ref_entries, ref_data, ref_ctrl) = serial.delay_snapshot();
-            for (mode, p) in &mut others {
-                p.run_mode(*mode, budget);
-                let (entries, data, ctrl) = p.delay_snapshot();
-                assert_eq!(
-                    (data, ctrl),
-                    (ref_data, ref_ctrl),
-                    "q={quantum} {mode:?} delay occupancy diverged at cycle {}",
-                    serial.cycles()
-                );
-                assert_eq!(
-                    entries,
-                    ref_entries,
-                    "q={quantum} {mode:?} delay contents diverged at cycle {}",
-                    serial.cycles()
-                );
-            }
+            windowed.run_mode(ExecMode::Windowed, budget);
+            let (entries, data, ctrl) = windowed.delay_snapshot();
+            assert_eq!(
+                (data, ctrl),
+                (ref_data, ref_ctrl),
+                "q={quantum} windowed delay occupancy diverged at cycle {}",
+                serial.cycles()
+            );
+            assert_eq!(
+                entries,
+                ref_entries,
+                "q={quantum} windowed delay contents diverged at cycle {}",
+                serial.cycles()
+            );
             budget += 911;
             pauses += 1;
         }
@@ -475,16 +457,13 @@ fn retire_path_recycled_buffers_never_alias_live_delay_data() {
             ref_stats.ir_mispredictions > 0,
             "q={quantum}: test needs recoveries to stress the retire path"
         );
-        let reference = (serial, ref_stats);
-        for (mode, p) in others {
-            let got_stats = p.stats();
-            assert_identical(
-                &format!("vortex+l2 aliasing q={quantum}"),
-                mode,
-                &reference,
-                &(p, got_stats),
-            );
-        }
+        let got_stats = windowed.stats();
+        assert_identical(
+            &format!("vortex+l2 aliasing q={quantum}"),
+            ExecMode::Windowed,
+            &(serial, ref_stats),
+            &(windowed, got_stats),
+        );
     }
 }
 

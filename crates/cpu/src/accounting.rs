@@ -5,8 +5,8 @@
 //! priority order, from state that is part of the core (and therefore of
 //! every slack-window checkpoint). Attribution is pure bookkeeping: no
 //! timing decision reads it, so enabling it cannot perturb simulated
-//! cycles, and the stacks are byte-identical across the serial, windowed,
-//! and threaded schedulers.
+//! cycles, and the stacks are byte-identical across the serial and
+//! windowed schedulers.
 
 /// Exclusive cycle categories of the CPI stack, in display order.
 ///

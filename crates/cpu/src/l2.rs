@@ -4,9 +4,9 @@
 //!
 //! # Determinism: a replicated L2, not a locked one
 //!
-//! The slipstream schedulers (serial, slack-window, two threads) must all
-//! produce byte-identical results, and the windowed/threaded schedulers run
-//! the A-core a whole window ahead of the R-core. A single mutable L2
+//! The slipstream schedulers (serial and slack-window) must produce
+//! byte-identical results, and the windowed scheduler runs the A-core a
+//! whole window ahead of the R-core. A single mutable L2
 //! touched by both cores in real time would make every core's hit/miss
 //! pattern depend on scheduler interleaving. Instead, each core owns an
 //! [`L2View`]:
@@ -23,7 +23,7 @@
 //! applies deferred predictor/IR-table learning — the two logs are merged
 //! in a fixed `(cycle, core-id, ordinal)` order ([`merge_l2_logs`]) and
 //! replayed onto both canonical replicas ([`L2View::apply_boundary`]),
-//! which therefore stay bit-identical without any cross-thread sharing.
+//! which therefore stay bit-identical without sharing mutable state.
 //! Within a window a core sees only boundary state plus its own traffic,
 //! so results cannot depend on how far the other core has advanced — the
 //! property the mode-equivalence battery pins down.
@@ -486,8 +486,9 @@ mod tests {
 
     #[test]
     fn merge_is_independent_of_which_side_computes_it() {
-        // The two sides of the threaded scheduler each compute the merge
-        // from their own copies of the logs; the result must be one list.
+        // At a recovery the windowed scheduler's A and R sides each compute
+        // the merge from their own copies of the logs; the result must be
+        // one list.
         let mut a = L2View::new(tiny(), 0);
         let mut r = L2View::new(tiny(), 1);
         for c in 0..6u64 {

@@ -31,14 +31,6 @@ pub struct FaultSpec {
 /// enough that cache-miss pile-ups and delay-buffer stalls never trip it.
 const WATCHDOG_CYCLES: u64 = 1_000_000;
 
-/// Whether `SLIP_DEBUG_MISP` was set when the process first asked. Read
-/// once: an `env::var_os` per mispredict was a measurable cost in the
-/// dispatch hot path.
-fn debug_misp() -> bool {
-    static ON: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *ON.get_or_init(|| std::env::var_os("SLIP_DEBUG_MISP").is_some())
-}
-
 #[derive(Debug, Clone, Copy)]
 struct StoreEntry {
     rob_id: u64,
@@ -890,22 +882,10 @@ impl Core {
                 if mispredicted || item.pred_taken != rec.taken {
                     self.stats.branch_mispredicts += 1;
                     self.trace_event(EventKind::BranchMispredict, rec.seq, rec.pc, rec.next_pc);
-                    if debug_misp() {
-                        eprintln!(
-                            "misp pc {:#x} taken {:?} pred {:?}",
-                            rec.pc, rec.taken, item.pred_taken
-                        );
-                    }
                 }
             } else if mispredicted {
                 self.stats.jump_mispredicts += 1;
                 self.trace_event(EventKind::JumpMispredict, rec.seq, rec.pc, rec.next_pc);
-                if debug_misp() {
-                    eprintln!(
-                        "misp pc {:#x} jump to {:#x} pred {:#x}",
-                        rec.pc, rec.next_pc, item.pred_npc
-                    );
-                }
             }
             if mispredicted {
                 // Stop dispatching; everything younger is wrong-path.

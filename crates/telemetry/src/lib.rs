@@ -16,9 +16,8 @@
 //!   aggregate of N worker registries is independent of worker count and
 //!   merge order (the same discipline the campaign rows follow).
 //! - [`SpanGuard`] — an RAII timer that records into a span on drop, for
-//!   straight-line phases; accumulate-and-subtract call sites (window
-//!   execution minus in-window ring waits) record with
-//!   [`Telemetry::record_span`] directly.
+//!   straight-line phases; call sites that already hold a start time
+//!   record with [`Telemetry::record_span`] directly.
 //! - [`RunManifest`] + [`Snapshot`] — a run's identity (binary, scheduler,
 //!   FNV-1a config digest, host-speed calibration anchor) married to a
 //!   *dynamic* named-row view of the metrics. Snapshots are what exporters
@@ -52,7 +51,7 @@ pub fn log2_bucket(v: u64) -> usize {
 }
 
 /// A log2-bucketed histogram of `u64` values (durations in nanoseconds,
-/// ring occupancies, shrink evaluation counts, ...).
+/// campaign site cycles, shrink evaluation counts, ...).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LogHist {
     /// Count per log2 bucket (see [`log2_bucket`]).
@@ -143,33 +142,28 @@ macro_rules! kinds {
 
 kinds! {
     /// Named wall-clock spans around the harness's phases. The `A`/`R`
-    /// prefixes name the *logical side* of the machine a span belongs to
-    /// (in the threaded scheduler they run on different OS threads, so
-    /// per-side sums can be compared against the run total independently).
+    /// prefixes name the *logical side* of the machine a span belongs to.
     SpanKind {
         /// Whole `run_mode` call, recorded on the R (calling) side.
         RunTotal => "run_total",
         /// Serial scheduler: the entire lockstep loop (one span per run;
         /// the serial loop is not decomposed further).
         SerialExec => "serial_exec",
-        /// A side: executing one window's burst of cycles (net of ring
-        /// push waits in the threaded scheduler).
+        /// A side: executing one window's burst of cycles.
         AWindowExec => "a_window_exec",
-        /// A thread: blocked pushing a batch into the full SPSC ring.
-        ARingPushWait => "a_ring_push_wait",
         /// A side: taking the window boundary checkpoint.
         ACheckpoint => "a_checkpoint",
         /// A side: rollback to the window checkpoint + deterministic replay.
         ARollbackReplay => "a_rollback_replay",
         /// A side: applying a boundary report (training + credit refresh).
+        /// No scheduler records it (the windowed boundary sync is
+        /// `r_boundary_sync`), so it reads 0; it stays because the
+        /// repository benchmark's per-layer registry looks it up by label.
         ABoundaryApply => "a_boundary_apply",
         /// A side: applying a recovery command.
         ARecoverApply => "a_recover_apply",
-        /// R side: consuming one window's batches (net of ring pop waits
-        /// and recovery building).
+        /// R side: consuming one window's batches.
         RWindowConsume => "r_window_consume",
-        /// R thread: blocked popping from the empty SPSC ring.
-        RRingPopWait => "r_ring_pop_wait",
         /// R side: the window boundary sync (training hand-off, L2 merge,
         /// credit snapshot).
         RBoundarySync => "r_boundary_sync",
@@ -222,19 +216,14 @@ kinds! {
     GaugeKind {
         /// Worker threads in the pool.
         Workers => "workers",
-        /// SPSC ring capacity (threaded scheduler).
-        RingCapacity => "ring_capacity",
         /// Sync quantum (window length) in cycles.
         SyncQuantum => "sync_quantum",
     }
 }
 
 kinds! {
-    /// Value histograms. `ring_occupancy` is scheduling-dependent; the
-    /// others are deterministic.
+    /// Value histograms. All are deterministic.
     HistKind {
-        /// SPSC ring occupancy sampled at each window start (R side).
-        RingOccupancy => "ring_occupancy",
         /// Cycles simulated per campaign site run.
         CampaignSiteCycles => "campaign_site_cycles",
         /// Shrink predicate evaluations per violation.
@@ -435,8 +424,8 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 pub struct RunManifest {
     /// Producing binary (`throughput`, `fault_campaign`, ...).
     pub binary: String,
-    /// Scheduler/model the run used (`serial`, `windowed`, `threaded`,
-    /// or a harness-level label like `campaign`).
+    /// Scheduler/model the run used (`serial`, `windowed`, or a
+    /// harness-level label like `campaign`).
     pub scheduler: String,
     /// FNV-1a digest of the run's configuration (`Debug`-rendered), so
     /// two exports are only comparable when their digests match.
@@ -933,8 +922,8 @@ mod tests {
         tel.record_span(SpanKind::AWindowExec, 77);
         tel.add(CounterKind::CampaignSites, 2);
         tel.set_gauge(GaugeKind::Workers, 3);
-        tel.record_value(HistKind::RingOccupancy, 5);
-        let m = RunManifest::new("throughput", "threaded", "cfg").label("scale", "0.2");
+        tel.record_value(HistKind::ShrinkEvals, 5);
+        let m = RunManifest::new("throughput", "windowed", "cfg").label("scale", "0.2");
         let text = tel.snapshot(&m).prometheus_text();
         validate_exposition(&text).unwrap();
         assert!(validate_exposition("1bad{x=\"y\"} 1").is_err());
