@@ -3,10 +3,11 @@
 //!
 //! Enumerates N distinct (dynamic-instruction, bit) injection sites per
 //! benchmark × target from the seeded xorshift64* PRNG, fans the runs out
-//! across a `std::thread` worker pool (per-worker `SlipstreamProcessor`
-//! instances, copy-on-write clones of the per-benchmark golden state), and
-//! writes the outcome distribution plus the campaign's own wall-clock
-//! throughput to `BENCH_fault_campaign.json`.
+//! across a `std::thread` worker pool (each run forked from a fault-free
+//! walker processor at the last checkpoint before its fault, with
+//! copy-on-write clones of the per-benchmark golden state), and writes the
+//! outcome distribution plus the campaign's own wall-clock throughput
+//! (and the cycles it actually stepped) to `BENCH_fault_campaign.json`.
 //!
 //! ```text
 //! fault_campaign [--sites N] [--workers W] [--scale S] [--seed X]
@@ -288,6 +289,7 @@ fn full_json(result: &CampaignResult) -> String {
             result.sim_cycles() as f64 / result.elapsed_seconds.max(1e-9),
             0,
         )
+        .raw("stepped_cycles", result.stepped_cycles)
         .finish();
     let totals_obj = json::Obj::new()
         .raw("sites", totals.sites)

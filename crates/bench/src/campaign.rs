@@ -8,25 +8,38 @@
 //! aggregates per-outcome counters, a detection-latency histogram in
 //! cycles, and fired/not-fired accounting.
 //!
+//! Checkpoint forking (the prefix half of ERASER-style trimmed
+//! redundancy): a faulty run is the fault-free run until its fault fires,
+//! so no run re-simulates that prefix. The fault-free baseline run stops
+//! every [`FORK_STRIDE`] cycles and logs each stop's dispatch sequence
+//! numbers; a site forks from the last stop at which its target core has
+//! not yet dispatched the faulted instruction. A fault-free *walker*
+//! processor advances through a benchmark's sites in fork order, and each
+//! site runs on a clone of it ([`run_fault_experiment_from`]). Rows report
+//! each run's full cycle count; [`CampaignResult::stepped_cycles`] counts
+//! the cycles actually simulated.
+//!
 //! Determinism: site enumeration depends only on `(seed, bench, target)`,
-//! every run is independently seeded by its site, and results are
-//! reassembled in site order after the pool drains — the same seed
-//! produces byte-identical campaign rows regardless of worker count.
+//! a forked run's report equals the from-scratch run's exactly, and
+//! results are reassembled in site order after the pool drains — the same
+//! seed produces byte-identical campaign rows regardless of worker count.
 //!
 //! Sharing: the golden state and fault-free baseline are computed once per
 //! benchmark; each worker receives a copy-on-write clone (`Memory` pages
 //! are `Arc`s, and the one-entry last-page cache makes `Memory`
 //! intentionally `!Sync`, so workers clone rather than share — an O(pages)
-//! pointer copy per worker, no byte copies).
+//! pointer copy per worker, no byte copies). Forks share the walker's
+//! memory pages the same way.
 
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
 use slipstream_core::{
-    golden_state, run_fault_experiment, run_fault_experiment_traced, FaultOutcome, FaultReport,
-    FaultTarget, FlightRecording, IrMispKind, SlipstreamConfig, SlipstreamProcessor, TraceConfig,
+    golden_state, run_fault_experiment, run_fault_experiment_from, run_fault_experiment_traced,
+    FaultOutcome, FaultReport, FaultTarget, FlightRecording, IrMispKind, SlipstreamConfig,
+    SlipstreamProcessor, TraceConfig,
 };
 use slipstream_cpu::FaultSpec;
 use slipstream_isa::ArchState;
@@ -267,6 +280,10 @@ pub struct CampaignResult {
     /// Wall-clock seconds for the whole sweep (including golden-state and
     /// baseline preparation).
     pub elapsed_seconds: f64,
+    /// Cycles actually simulated by the injection runs: walker advances
+    /// plus each fork's suffix. [`CampaignResult::sim_cycles`] is what the
+    /// rows report — every run's full length, prefix included.
+    pub stepped_cycles: u64,
 }
 
 impl CampaignResult {
@@ -275,7 +292,8 @@ impl CampaignResult {
         self.site_results.len() as u64
     }
 
-    /// Total cycles simulated across all runs.
+    /// Total cycles the runs report (each run's full length, as if
+    /// simulated from cycle 0).
     pub fn sim_cycles(&self) -> u64 {
         self.summaries.iter().map(|s| s.sim_cycles).sum()
     }
@@ -350,6 +368,11 @@ fn summary_json(s: &TargetSummary) -> String {
         .finish()
 }
 
+/// Cycles between the fault-free baseline's logged stops, the candidate
+/// fork points: a forked run re-simulates fewer than this many fault-free
+/// cycles before its fault's instruction first dispatches.
+pub const FORK_STRIDE: u64 = 64;
+
 /// Per-benchmark shared state, computed once and CoW-cloned per worker.
 #[derive(Clone)]
 struct BenchContext {
@@ -360,6 +383,26 @@ struct BenchContext {
     /// detections by first divergence from it.
     baseline_misp: Vec<(IrMispKind, u64)>,
     dynamic: u64,
+    /// The fault-free run's stops before it halted, `(cycle, A next_seq,
+    /// R next_seq)`, starting at `(0, 0, 0)`; both sequence columns grow
+    /// monotonically.
+    stops: Vec<(u64, u64, u64)>,
+}
+
+impl BenchContext {
+    /// The last logged stop at which `site`'s target core has not yet
+    /// dispatched `site.seq`: the latest cycle a fork can resume from.
+    fn fork_cycle(&self, site: &InjectionSite) -> u64 {
+        let n = self.stops.partition_point(|&(_, a_seq, r_seq)| {
+            let next = match site.target {
+                FaultTarget::AStream => a_seq,
+                FaultTarget::RStream => r_seq,
+            };
+            next <= site.seq
+        });
+        // `stops[0]` (cycle 0, nothing dispatched) qualifies for any site.
+        self.stops[n - 1].0
+    }
 }
 
 fn prepare(bench: &str, scale: f64, max_cycles: u64) -> BenchContext {
@@ -367,10 +410,24 @@ fn prepare(bench: &str, scale: f64, max_cycles: u64) -> BenchContext {
     let golden = golden_state(&workload.program, 4 * max_cycles);
     let cfg = SlipstreamConfig::cmp_2x64x4();
     let mut clean = SlipstreamProcessor::new(cfg.clone(), &workload.program);
-    assert!(
-        clean.run(max_cycles),
-        "{bench}: fault-free baseline did not complete"
-    );
+    // Stop/resume is byte-identical to a straight run (pinned by
+    // `mode_equivalence.rs`), so the stops leave the baseline unchanged.
+    let mut stops = vec![(0, 0, 0)];
+    loop {
+        let budget = (clean.cycles() + FORK_STRIDE).min(max_cycles);
+        if clean.run(budget) {
+            break;
+        }
+        assert!(
+            budget < max_cycles,
+            "{bench}: fault-free baseline did not complete"
+        );
+        stops.push((
+            clean.cycles(),
+            clean.a_core().next_seq(),
+            clean.r_core().next_seq(),
+        ));
+    }
     let dynamic = clean.stats().r_retired;
     BenchContext {
         workload,
@@ -378,6 +435,7 @@ fn prepare(bench: &str, scale: f64, max_cycles: u64) -> BenchContext {
         golden,
         baseline_misp: clean.misp_log().to_vec(),
         dynamic,
+        stops,
     }
 }
 
@@ -429,72 +487,96 @@ pub fn enumerate_sites(
     sites
 }
 
-/// Runs `sites` through the worker pool. Each worker owns CoW clones of
-/// the benchmark contexts and a fresh `SlipstreamProcessor` per run;
-/// results are reassembled in site order, so output is identical for any
-/// worker count.
+/// Runs `sites` through the worker pool; returns the results in site
+/// order and the cycles actually simulated.
+///
+/// The work unit is a contiguous slice of one benchmark's sites sorted by
+/// fork cycle (`ceil(workers / benchmarks)` slices per benchmark, so wide
+/// hosts stay busy). Each slice owns a fault-free walker processor that
+/// advances to each site's fork cycle in turn; the site then runs on a
+/// clone of the walker. Results are reassembled in site order, so output
+/// is identical for any worker count.
 fn run_sites(
     contexts: &[BenchContext],
     sites: &[(usize, InjectionSite)],
     workers: usize,
     max_cycles: u64,
     tel: Option<&mut Telemetry>,
-) -> Vec<SiteResult> {
+) -> (Vec<SiteResult>, u64) {
+    let slices_per_bench = workers.max(1).div_ceil(contexts.len().max(1));
+    let mut slices: Vec<(usize, Vec<(u64, usize)>)> = Vec::new();
+    for (ci, ctx) in contexts.iter().enumerate() {
+        let mut order: Vec<(u64, usize)> = sites
+            .iter()
+            .enumerate()
+            .filter(|(_, &(c, _))| c == ci)
+            .map(|(i, (_, site))| (ctx.fork_cycle(site), i))
+            .collect();
+        order.sort_unstable();
+        let len = order.len().div_ceil(slices_per_bench).max(1);
+        slices.extend(order.chunks(len).map(|c| (ci, c.to_vec())));
+    }
+
     let next = AtomicUsize::new(0);
+    let stepped = AtomicU64::new(0);
     let results: Mutex<Vec<(usize, SiteResult)>> = Mutex::new(Vec::with_capacity(sites.len()));
     // Telemetry: each worker owns a private registry (no locks on the hot
     // path) and parks it here when its loop drains; the commutative merge
     // below makes the aggregate independent of worker count and of how the
-    // work-stealing index happened to partition the sites.
+    // work-stealing index happened to partition the slices.
     let worker_tels: Mutex<Vec<Telemetry>> = Mutex::new(Vec::new());
     let with_tel = tel.is_some();
     std::thread::scope(|scope| {
         for _ in 0..workers.max(1) {
-            let next = &next;
-            let results = &results;
-            let worker_tels = &worker_tels;
+            let (slices, next, stepped) = (&slices, &next, &stepped);
+            let (results, worker_tels) = (&results, &worker_tels);
             let ctxs: Vec<BenchContext> = contexts.to_vec();
             scope.spawn(move || {
                 let mut tel = with_tel.then(Telemetry::new);
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(&(ci, site)) = sites.get(i) else {
-                        break;
-                    };
-                    let ctx = &ctxs[ci];
-                    let t0 = tel.as_ref().map(|_| Instant::now());
-                    let report = run_fault_experiment(
-                        ctx.cfg.clone(),
-                        &ctx.workload.program,
-                        site.target,
-                        FaultSpec {
-                            seq: site.seq,
-                            bit: site.bit,
-                        },
-                        max_cycles,
-                        &ctx.golden,
-                        &ctx.baseline_misp,
-                    );
-                    if let (Some(t0), Some(tel)) = (t0, tel.as_mut()) {
-                        tel.record_span(SpanKind::CampaignSite, t0.elapsed().as_nanos() as u64);
-                        tel.add(CounterKind::CampaignSites, 1);
-                        tel.add(CounterKind::CampaignFired, report.fired as u64);
-                        tel.add(
-                            CounterKind::CampaignDetected,
-                            (report.outcome == FaultOutcome::DetectedRecovered) as u64,
+                while let Some((ci, slice)) = slices.get(next.fetch_add(1, Ordering::Relaxed)) {
+                    let ctx = &ctxs[*ci];
+                    let mut walker =
+                        SlipstreamProcessor::new(ctx.cfg.clone(), &ctx.workload.program);
+                    for &(fork, i) in slice {
+                        let site = sites[i].1;
+                        // The span covers the walker advance too, so the
+                        // spans still sum to the worker's busy time.
+                        let t0 = tel.as_ref().map(|_| Instant::now());
+                        let walked = fork - walker.cycles();
+                        walker.run(fork);
+                        let report = run_fault_experiment_from(
+                            &walker,
+                            site.target,
+                            FaultSpec {
+                                seq: site.seq,
+                                bit: site.bit,
+                            },
+                            max_cycles,
+                            &ctx.golden,
+                            &ctx.baseline_misp,
                         );
-                        tel.add(CounterKind::CampaignSimCycles, report.cycles);
-                        tel.record_value(HistKind::CampaignSiteCycles, report.cycles);
+                        stepped.fetch_add(walked + report.cycles - fork, Ordering::Relaxed);
+                        if let (Some(t0), Some(tel)) = (t0, tel.as_mut()) {
+                            tel.record_span(SpanKind::CampaignSite, t0.elapsed().as_nanos() as u64);
+                            tel.add(CounterKind::CampaignSites, 1);
+                            tel.add(CounterKind::CampaignFired, report.fired as u64);
+                            tel.add(
+                                CounterKind::CampaignDetected,
+                                (report.outcome == FaultOutcome::DetectedRecovered) as u64,
+                            );
+                            tel.add(CounterKind::CampaignSimCycles, report.cycles);
+                            tel.record_value(HistKind::CampaignSiteCycles, report.cycles);
+                        }
+                        let r = SiteResult {
+                            site,
+                            outcome: report.outcome,
+                            fired: report.fired,
+                            detections: report.detections,
+                            detection_latency: report.detection_latency,
+                            cycles: report.cycles,
+                        };
+                        results.lock().expect("worker panicked").push((i, r));
                     }
-                    let r = SiteResult {
-                        site,
-                        outcome: report.outcome,
-                        fired: report.fired,
-                        detections: report.detections,
-                        detection_latency: report.detection_latency,
-                        cycles: report.cycles,
-                    };
-                    results.lock().expect("worker panicked").push((i, r));
                 }
                 if let Some(t) = tel {
                     worker_tels.lock().expect("worker panicked").push(t);
@@ -509,7 +591,10 @@ fn run_sites(
     }
     let mut v = results.into_inner().expect("worker panicked");
     v.sort_unstable_by_key(|&(i, _)| i);
-    v.into_iter().map(|(_, r)| r).collect()
+    (
+        v.into_iter().map(|(_, r)| r).collect(),
+        stepped.into_inner(),
+    )
 }
 
 /// Runs a full campaign: for every benchmark in `benches` and every target
@@ -565,7 +650,8 @@ pub fn run_campaign_telemetry(
         }
     }
 
-    let site_results = run_sites(&contexts, &sites, cfg.workers, cfg.max_cycles, tel);
+    let (site_results, stepped_cycles) =
+        run_sites(&contexts, &sites, cfg.workers, cfg.max_cycles, tel);
 
     let mut summaries: Vec<TargetSummary> = Vec::new();
     for ctx in &contexts {
@@ -587,6 +673,7 @@ pub fn run_campaign_telemetry(
         summaries,
         site_results,
         elapsed_seconds: start.elapsed().as_secs_f64(),
+        stepped_cycles,
     }
 }
 
@@ -614,7 +701,8 @@ pub fn trace_first_detection(
             bit: site.bit,
         };
         // Pass 1 (untraced) locates the detection cycle; pass 2 replays
-        // deterministically with the recorder freezing just after it.
+        // deterministically with the recorder freezing just after it. Both
+        // re-execute from cycle 0: the recorder must see the whole run.
         let scout = run_fault_experiment(
             ctx.cfg.clone(),
             &ctx.workload.program,
@@ -698,5 +786,11 @@ pub fn print_campaign_table(result: &CampaignResult) {
         result.runs_per_sec(),
         result.sim_cycles() as f64 / result.elapsed_seconds.max(1e-9) / 1e6,
         result.config.workers,
+    );
+    println!(
+        "cycles: {} reported by the runs, {} stepped ({:.1}% after forking)",
+        result.sim_cycles(),
+        result.stepped_cycles,
+        100.0 * result.stepped_cycles as f64 / result.sim_cycles().max(1) as f64,
     );
 }

@@ -33,7 +33,7 @@ use slipstream_workloads::{benchmark, suite, Workload};
 pub use campaign::{
     available_workers, enumerate_sites, print_campaign_table, run_campaign, run_campaign_telemetry,
     target_label, trace_first_detection, CampaignConfig, CampaignResult, InjectionSite,
-    LatencyHistogram, SiteResult, TargetSummary, LATENCY_EDGES, TARGETS,
+    LatencyHistogram, SiteResult, TargetSummary, FORK_STRIDE, LATENCY_EDGES, TARGETS,
 };
 pub use fuzz::{
     corpus_entry_text, enumerate_seeds, replay_corpus_dir, replay_corpus_file, run_fuzz,

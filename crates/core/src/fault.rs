@@ -55,7 +55,7 @@ pub enum FaultOutcome {
 }
 
 /// Everything observed about one fault-injection run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FaultReport {
     /// Classified outcome.
     pub outcome: FaultOutcome,
@@ -144,10 +144,83 @@ pub fn run_fault_experiment_traced(
     baseline_misp: &[(IrMispKind, u64)],
     trace: Option<TraceConfig>,
 ) -> (FaultReport, Option<FlightRecording>) {
+    // Always a full re-execution from cycle 0, never a fork: the
+    // flight-recorder rings must see the run from its first cycle.
     let mut proc = SlipstreamProcessor::new(cfg, program);
     if let Some(tc) = trace {
         proc.enable_tracing(tc);
     }
+    let (report, detection) =
+        arm_run_classify(&mut proc, target, fault, max_cycles, golden, baseline_misp);
+    let recording = proc.flight_recording().map(|mut rec| {
+        if let Some((kind, det_cycle)) = detection {
+            let (_code, pc) = trace::misp_code(kind);
+            rec.insert_event(TraceEvent {
+                cycle: det_cycle,
+                seq: fault.seq,
+                pc,
+                arg: report.detection_latency.unwrap_or(0),
+                stream: StreamId::Machine,
+                kind: EventKind::FaultDetected,
+            });
+        }
+        rec
+    });
+    (report, recording)
+}
+
+/// [`run_fault_experiment`] resumed from `base`, a fault-free processor
+/// part-way through the same program and config: clones `base`, arms the
+/// fault, and runs on to `max_cycles` (an absolute cycle budget, as for a
+/// run from cycle 0).
+///
+/// The report equals [`run_fault_experiment`]'s exactly. Until the fault
+/// fires a faulty run is the fault-free run, and `base`'s target core has
+/// not yet dispatched `fault.seq` (checked): dispatch sequence numbers
+/// only grow, and a rollback restores them together with the armed fault.
+///
+/// # Panics
+///
+/// Panics if `base`'s target core already dispatched `fault.seq`, or if
+/// `base` is already past `max_cycles`.
+pub fn run_fault_experiment_from(
+    base: &SlipstreamProcessor,
+    target: FaultTarget,
+    fault: FaultSpec,
+    max_cycles: u64,
+    golden: &ArchState,
+    baseline_misp: &[(IrMispKind, u64)],
+) -> FaultReport {
+    let next_seq = match target {
+        FaultTarget::AStream => base.a_core().next_seq(),
+        FaultTarget::RStream => base.r_core().next_seq(),
+    };
+    assert!(
+        next_seq <= fault.seq,
+        "fork at cycle {} is past the fault site: {target:?} core already \
+         dispatched seq {} (next_seq {next_seq})",
+        base.cycles(),
+        fault.seq,
+    );
+    assert!(
+        base.cycles() <= max_cycles,
+        "fork at cycle {} is past the cycle budget {max_cycles}",
+        base.cycles(),
+    );
+    let mut proc = base.clone();
+    arm_run_classify(&mut proc, target, fault, max_cycles, golden, baseline_misp).0
+}
+
+/// The one arm/run/classify tail of every fault experiment. Returns the
+/// report and the attributed detection event, if any.
+fn arm_run_classify(
+    proc: &mut SlipstreamProcessor,
+    target: FaultTarget,
+    fault: FaultSpec,
+    max_cycles: u64,
+    golden: &ArchState,
+    baseline_misp: &[(IrMispKind, u64)],
+) -> (FaultReport, Option<(IrMispKind, u64)>) {
     match target {
         FaultTarget::AStream => proc.arm_fault_a(fault),
         FaultTarget::RStream => proc.arm_fault_r(fault),
@@ -204,7 +277,6 @@ pub fn run_fault_experiment_traced(
             FaultOutcome::Masked
         }
     };
-    let detection = proc.misp_log().get(common).copied();
     let report = FaultReport {
         outcome,
         fired,
@@ -214,19 +286,5 @@ pub fn run_fault_experiment_traced(
         detection_latency,
         cycles: stats.cycles,
     };
-    let recording = proc.flight_recording().map(|mut rec| {
-        if let Some((kind, det_cycle)) = detection {
-            let (_code, pc) = trace::misp_code(kind);
-            rec.insert_event(TraceEvent {
-                cycle: det_cycle,
-                seq: fault.seq,
-                pc,
-                arg: report.detection_latency.unwrap_or(0),
-                stream: StreamId::Machine,
-                kind: EventKind::FaultDetected,
-            });
-        }
-        rec
-    });
-    (report, recording)
+    (report, proc.misp_log().get(common).copied())
 }

@@ -149,6 +149,7 @@ impl FrontEndStats {
 
 /// A control-flow front end driving one core from the shared trace
 /// predictor, optionally reduced by the IR-predictor (A-stream mode).
+#[derive(Clone)]
 pub struct TraceFrontEnd {
     program: Program,
     /// The next-trace predictor (the paper drives *all* models with it).
@@ -900,6 +901,7 @@ impl TraceFrontEnd {
 
 /// A boundary snapshot of [`TraceFrontEnd`] speculative state (see
 /// [`TraceFrontEnd::checkpoint`]).
+#[derive(Clone)]
 pub struct FeCheckpoint {
     spec_hist: PathHistory,
     ready: VecDeque<FetchItem>,

@@ -121,7 +121,7 @@ pub struct SlipstreamStats {
 /// scheduler a window's batches exist *outside* the delay buffer until the
 /// R-stream pushes them in — capacity accounting happens on the A side via
 /// the boundary credit budget, mirroring the real buffer's limits.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 struct CycleBatch {
     cycle: u64,
     entries: Vec<DelayEntry>,
@@ -186,6 +186,7 @@ struct RecoverCmd {
 /// The leading core and its front end: everything the A-stream touches
 /// while running a window, plus the boundary credit budget that stands in
 /// for live delay-buffer back-pressure.
+#[derive(Clone)]
 struct AHalf {
     core: Core,
     fe: TraceFrontEnd,
@@ -207,6 +208,7 @@ struct AHalf {
 }
 
 /// A boundary snapshot of the A side, for rollback-and-replay recovery.
+#[derive(Clone)]
 struct ACheckpoint {
     core: Core,
     fe: FeCheckpoint,
@@ -369,6 +371,7 @@ impl AHalf {
 /// recovery controller, the online checker, the misprediction log, and the
 /// machine-level flight recorder (all of which observe committed —
 /// R-retired — state only, so they never roll back).
+#[derive(Clone)]
 struct RHalf {
     core: Core,
     drv: RStreamDriver,
@@ -425,6 +428,7 @@ fn tel_span(tel: &mut Option<Box<Telemetry>>, kind: SpanKind, start: Option<Inst
 }
 
 /// Machine-level observability state, present only while tracing.
+#[derive(Clone)]
 struct MachineTrace {
     /// Sink for cross-stream events (delay traffic, IR-misps, recovery).
     sink: TraceSink,
@@ -676,7 +680,10 @@ fn boundary_sync(a: &mut AHalf, r: &mut RHalf) {
     tel_span(&mut r.tel, SpanKind::RBoundarySync, t0);
 }
 
-/// A slipstream processor built from two identical cores.
+/// A slipstream processor built from two identical cores. `Clone` forks
+/// the whole machine mid-run (memory pages are copy-on-write): the fault
+/// campaign resumes each injection run from a fault-free snapshot.
+#[derive(Clone)]
 pub struct SlipstreamProcessor {
     cfg: SlipstreamConfig,
     program: Program,

@@ -1,6 +1,6 @@
 use std::collections::VecDeque;
 
-use crate::trace::TraceId;
+use crate::trace::{TraceId, MAX_TRACE_LEN};
 
 /// Configuration for [`TracePredictor`] (defaults follow paper Table 2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -141,12 +141,72 @@ pub struct TracePredictorStats {
     pub no_prediction: u64,
 }
 
-#[derive(Debug, Clone, Copy)]
+/// One tagged table slot, packed to 16 bytes (an `Option` of the unpacked
+/// `(tag, TraceId, counter)` takes 32): the predicted trace's full start
+/// PC and outcome bits, the tag, and a `meta` word holding the trace
+/// length (bits 0–5), its branch count (bits 6–11), the 2-bit replacement
+/// counter (bits 12–13, paper §2.1.1) and a valid bit (bit 14). Both
+/// counts are at most [`MAX_TRACE_LEN`] = 32, so the packing is lossless.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Entry {
+    start_pc: u64,
+    outcomes: u32,
     tag: u16,
-    pred: TraceId,
-    /// 2-bit replacement counter (paper §2.1.1).
-    ctr: u8,
+    meta: u16,
+}
+
+const _: () = assert!(std::mem::size_of::<Entry>() == 16);
+
+const COUNT_BITS: u16 = 6;
+const COUNT_MASK: u16 = (1 << COUNT_BITS) - 1;
+const CTR_SHIFT: u16 = 2 * COUNT_BITS;
+const VALID: u16 = 1 << (CTR_SHIFT + 2);
+
+impl Entry {
+    const EMPTY: Entry = Entry {
+        start_pc: 0,
+        outcomes: 0,
+        tag: 0,
+        meta: 0,
+    };
+
+    fn new(tag: u16, pred: TraceId, ctr: u8) -> Entry {
+        assert!(
+            usize::from(pred.len.max(pred.branch_count)) <= MAX_TRACE_LEN,
+            "trace id {pred:?} does not fit a table slot"
+        );
+        Entry {
+            start_pc: pred.start_pc,
+            outcomes: pred.outcomes,
+            tag,
+            meta: VALID
+                | u16::from(ctr) << CTR_SHIFT
+                | u16::from(pred.branch_count) << COUNT_BITS
+                | u16::from(pred.len),
+        }
+    }
+
+    /// Whether the slot is filled and tagged `tag`.
+    fn hits(&self, tag: u16) -> bool {
+        self.meta & VALID != 0 && self.tag == tag
+    }
+
+    fn pred(&self) -> TraceId {
+        TraceId {
+            start_pc: self.start_pc,
+            outcomes: self.outcomes,
+            branch_count: ((self.meta >> COUNT_BITS) & COUNT_MASK) as u8,
+            len: (self.meta & COUNT_MASK) as u8,
+        }
+    }
+
+    fn ctr(&self) -> u8 {
+        ((self.meta >> CTR_SHIFT) & 3) as u8
+    }
+
+    fn set_ctr(&mut self, ctr: u8) {
+        self.meta = (self.meta & !(3 << CTR_SHIFT)) | u16::from(ctr) << CTR_SHIFT;
+    }
 }
 
 /// Hybrid path-based next-trace predictor (Jacobson, Rotenberg, Smith —
@@ -167,8 +227,8 @@ struct Entry {
 #[derive(Debug, Clone)]
 pub struct TracePredictor {
     cfg: TracePredictorConfig,
-    correlated: Vec<Option<Entry>>,
-    simple: Vec<Option<Entry>>,
+    correlated: Vec<Entry>,
+    simple: Vec<Entry>,
     stats: TracePredictorStats,
 }
 
@@ -177,8 +237,8 @@ impl TracePredictor {
     pub fn new(cfg: TracePredictorConfig) -> TracePredictor {
         TracePredictor {
             cfg,
-            correlated: vec![None; 1 << cfg.correlated_bits],
-            simple: vec![None; 1 << cfg.simple_bits],
+            correlated: vec![Entry::EMPTY; 1 << cfg.correlated_bits],
+            simple: vec![Entry::EMPTY; 1 << cfg.simple_bits],
             stats: TracePredictorStats::default(),
         }
     }
@@ -210,18 +270,16 @@ impl TracePredictor {
     /// constructing a trace statically.
     pub fn predict(&mut self, hist: &PathHistory) -> Option<TraceId> {
         let (ci, ctag) = self.correlated_index(hist);
-        if let Some(e) = &self.correlated[ci] {
-            if e.tag == ctag {
-                self.stats.from_correlated += 1;
-                return Some(e.pred);
-            }
+        let e = &self.correlated[ci];
+        if e.hits(ctag) {
+            self.stats.from_correlated += 1;
+            return Some(e.pred());
         }
         let (si, stag) = self.simple_index(hist);
-        if let Some(e) = &self.simple[si] {
-            if e.tag == stag {
-                self.stats.from_simple += 1;
-                return Some(e.pred);
-            }
+        let e = &self.simple[si];
+        if e.hits(stag) {
+            self.stats.from_simple += 1;
+            return Some(e.pred());
         }
         self.stats.no_prediction += 1;
         None
@@ -262,37 +320,20 @@ impl Default for TracePredictor {
     }
 }
 
-fn update_entry(slot: &mut Option<Entry>, tag: u16, actual: TraceId) {
-    match slot {
-        Some(e) if e.tag == tag => {
-            if e.pred == actual {
-                e.ctr = (e.ctr + 1).min(3);
-            } else if e.ctr == 0 {
-                e.pred = actual;
-                e.ctr = 1;
-            } else {
-                e.ctr -= 1;
-            }
-        }
-        Some(e) => {
-            // Tag conflict: 2-bit counter arbitrates replacement.
-            if e.ctr == 0 {
-                *e = Entry {
-                    tag,
-                    pred: actual,
-                    ctr: 1,
-                };
-            } else {
-                e.ctr -= 1;
-            }
-        }
-        None => {
-            *slot = Some(Entry {
-                tag,
-                pred: actual,
-                ctr: 1,
-            })
-        }
+fn update_entry(e: &mut Entry, tag: u16, actual: TraceId) {
+    if e.meta & VALID == 0 {
+        *e = Entry::new(tag, actual, 1);
+        return;
+    }
+    let ctr = e.ctr();
+    if e.tag == tag && e.pred() == actual {
+        e.set_ctr((ctr + 1).min(3));
+    } else if ctr == 0 {
+        // A wrong prediction, or a tag conflict, with the 2-bit counter
+        // exhausted: replace.
+        *e = Entry::new(tag, actual, 1);
+    } else {
+        e.set_ctr(ctr - 1);
     }
 }
 
@@ -420,6 +461,26 @@ mod tests {
             Some(b),
             "2-bit counter resists single flips"
         );
+    }
+
+    #[test]
+    fn entry_packing_round_trips_extreme_trace_ids() {
+        let extremes = [
+            tid(u64::MAX, u32::MAX, 32, 32),
+            tid(0, 0, 0, 1),
+            tid(0x8000_0000_0000_0004, 0xdead_beef, 17, 31),
+        ];
+        for id in extremes {
+            for ctr in 0..=3 {
+                let mut e = Entry::new(0xffff, id, ctr);
+                assert_eq!(e.pred(), id, "TraceId must survive the packing");
+                assert_eq!(e.ctr(), ctr);
+                assert!(e.hits(0xffff) && !e.hits(0xfffe));
+                e.set_ctr(3 - ctr);
+                assert_eq!((e.pred(), e.ctr()), (id, 3 - ctr));
+            }
+        }
+        assert!(!Entry::EMPTY.hits(0), "an empty slot never hits");
     }
 
     #[test]
