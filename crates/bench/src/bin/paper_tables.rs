@@ -1,14 +1,17 @@
 //! Regenerates every table and figure of the paper's evaluation in one
-//! run.
+//! run: Table 1, Figures 6, 7 and 8 (both halves), Table 3, and a §3
+//! fault-injection spot check. At the canonical scale it also re-writes
+//! the committed `BENCH_fig6/7/8.json` and `BENCH_paper_tables.json`
+//! anchors (see `tests/figure_drift.rs`).
 //!
 //! ```text
 //! cargo run --release -p slipstream-bench --bin paper_tables [-- --scale 1.0]
 //! ```
 
 use slipstream_bench::{
-    evaluate_suite, fault_campaign, fig6_json, fig7_json, fig8_json, paper_tables_json,
-    print_campaign, print_fig6, print_fig7, print_fig8, print_table1, print_table3,
-    write_figure_doc,
+    available_workers, evaluate_suite, fig6_json, fig7_json, fig8_json, paper_tables_json,
+    print_campaign_table, print_fig6, print_fig7, print_fig8, print_table1, print_table3,
+    run_campaign, write_figure_doc, CampaignConfig, MAX_CYCLES,
 };
 use slipstream_core::FaultTarget;
 
@@ -33,22 +36,16 @@ fn main() {
     eprintln!("running fault-injection campaigns ...");
     println!("Section 3 / Figure 5: transient-fault scenarios (m88ksim analogue).");
     println!("(rates over activated faults; full sweep: the `fault_campaign` binary)");
-    let a = fault_campaign(
-        "m88ksim",
-        (scale * 0.25).max(0.02),
-        FaultTarget::AStream,
-        24,
-        7,
-    );
-    print_campaign("faults in A-stream", &a);
-    let r = fault_campaign(
-        "m88ksim",
-        (scale * 0.25).max(0.02),
-        FaultTarget::RStream,
-        24,
-        8,
-    );
-    print_campaign("faults in R-stream", &r);
+    for (target, seed) in [(FaultTarget::AStream, 7), (FaultTarget::RStream, 8)] {
+        let cfg = CampaignConfig {
+            scale: (scale * 0.25).max(0.02),
+            sites_per_target: 24,
+            workers: available_workers(),
+            seed,
+            max_cycles: MAX_CYCLES,
+        };
+        print_campaign_table(&run_campaign(&cfg, &["m88ksim"], &[target]));
+    }
 }
 
 fn scale_arg() -> f64 {

@@ -31,9 +31,11 @@
 //! - `--smoke` is the CI regression gate: a quick reduced-scale pass
 //!   (scale 0.2, reps 1, all models) that does NOT overwrite
 //!   `BENCH_throughput.json`; instead it compares the measured per-model
-//!   simulation speed against the committed file, after normalizing by
-//!   the calibration row's host-speed ratio, and fails loudly if any
-//!   shared model has slowed beyond the tolerance.
+//!   simulation speed against the committed `model_totals`, after
+//!   normalizing by the calibration model's host-speed ratio, and fails
+//!   loudly if any shared model has slowed beyond the tolerance. A
+//!   committed file without the calibration entry or the allocation
+//!   ceiling fails the gate too.
 //!
 //! The binary also runs an *allocation gate*: the whole process runs
 //! under a per-thread counting global allocator, and a pair of fixed-size
@@ -102,7 +104,7 @@ mod alloc_counter {
 #[global_allocator]
 static ALLOC: alloc_counter::CountingAlloc = alloc_counter::CountingAlloc;
 
-use slipstream_bench::{json, to_jsonl, MAX_CYCLES};
+use slipstream_bench::{committed_throughput, json, to_jsonl, MAX_CYCLES};
 use slipstream_core::telemetry::{validate_exposition, RunManifest, Telemetry};
 use slipstream_core::{run_superscalar, ExecMode, SlipstreamConfig, SlipstreamProcessor};
 use slipstream_cpu::CoreConfig;
@@ -385,54 +387,6 @@ fn model_totals<'a>(rows: impl Iterator<Item = &'a Measurement>) -> Vec<(&'stati
     totals
 }
 
-/// Extracts per-model (instructions, seconds) totals from a committed
-/// `BENCH_throughput.json` by string scanning — the workspace deliberately
-/// has no serde. Relies on the one-row-per-line layout this harness writes.
-fn committed_model_totals(doc: &str) -> Vec<(String, u64, f64)> {
-    fn field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-        let pat = format!("\"{key}\": ");
-        let start = line.find(&pat)? + pat.len();
-        let rest = &line[start..];
-        let end = rest.find([',', '}']).unwrap_or(rest.len());
-        Some(rest[..end].trim().trim_matches('"'))
-    }
-    let mut totals: Vec<(String, u64, f64)> = Vec::new();
-    for line in doc.lines() {
-        let (Some(model), Some(instrs), Some(secs)) = (
-            field(line, "model"),
-            field(line, "instructions"),
-            field(line, "seconds"),
-        ) else {
-            continue;
-        };
-        let instrs: u64 = instrs.parse().unwrap_or(0);
-        let secs: f64 = secs.parse().unwrap_or(0.0);
-        match totals.iter_mut().find(|(m, _, _)| m == model) {
-            Some(t) => {
-                t.1 += instrs;
-                t.2 += secs;
-            }
-            None => totals.push((model.to_string(), instrs, secs)),
-        }
-    }
-    totals
-}
-
-/// Extracts the committed allocation-gate ceiling from a
-/// `BENCH_throughput.json` document, if it has one.
-fn committed_alloc_ceiling(doc: &str) -> Option<f64> {
-    for line in doc.lines() {
-        if let Some(rest) = line
-            .trim_start()
-            .strip_prefix("\"alloc_per_10k_retired\": ")
-        {
-            let end = rest.find([',', '}']).unwrap_or(rest.len());
-            return rest[..end].trim().parse().ok();
-        }
-    }
-    None
-}
-
 fn main() {
     let mut scale: Option<f64> = None;
     let mut reps: Option<u32> = None;
@@ -551,11 +505,8 @@ fn main() {
         // committed baseline file instead of overwriting it.
         let doc = std::fs::read_to_string("BENCH_throughput.json")
             .expect("--smoke needs the committed BENCH_throughput.json in the working directory");
-        let committed = committed_model_totals(&doc);
-        assert!(
-            !committed.is_empty(),
-            "committed BENCH_throughput.json has no parsable model rows"
-        );
+        let committed = committed_throughput(&doc)
+            .unwrap_or_else(|e| panic!("committed BENCH_throughput.json: {e}"));
         // The calibration rows (committed vs measured) cancel host speed
         // out of the comparison: a runner half as fast as the one that
         // wrote the committed file halves every model's floor too.
@@ -563,36 +514,24 @@ fn main() {
             let measured = totals
                 .iter()
                 .find(|(m, _, _)| *m == "calibration")
-                .map(|&(_, i, s)| i as f64 / s);
-            let committed_cal = committed
-                .iter()
-                .find(|(m, _, _)| m == "calibration")
-                .map(|&(_, i, s)| i as f64 / s);
-            match (measured, committed_cal) {
-                (Some(m), Some(c)) if c > 0.0 => {
-                    let raw = m / c;
-                    let clamped = raw.clamp(HOST_RATIO_BAND.0, HOST_RATIO_BAND.1);
-                    println!("smoke       host ratio {raw:.3} (clamped {clamped:.3})");
-                    clamped
-                }
-                // Committed file predates the calibration row: fall back
-                // to the un-normalized comparison.
-                _ => {
-                    println!("smoke       no committed calibration row; host ratio 1.0");
-                    1.0
-                }
-            }
+                .map(|&(_, i, s)| i as f64 / s)
+                .expect("the calibration row runs at every scale");
+            let raw = measured / committed.calibration.instrs_per_sec();
+            let clamped = raw.clamp(HOST_RATIO_BAND.0, HOST_RATIO_BAND.1);
+            println!("smoke       host ratio {raw:.3} (clamped {clamped:.3})");
+            clamped
         };
         let mut checked = 0;
         let mut failures = Vec::new();
-        for (model, c_instrs, c_secs) in &committed {
+        for c in &committed.model_totals {
+            let model = &c.model;
             if model == "calibration" {
                 continue; // the anchor itself is not gated
             }
             let Some(&(_, instrs, secs)) = totals.iter().find(|(m, _, _)| m == model) else {
                 continue; // model not measured in this configuration
             };
-            let committed_speed = *c_instrs as f64 / c_secs;
+            let committed_speed = c.instrs_per_sec();
             let measured_speed = instrs as f64 / secs;
             let floor = committed_speed * host_ratio / SMOKE_TOLERANCE;
             checked += 1;
@@ -612,23 +551,18 @@ fn main() {
         // Allocation gate: unlike the speed floors this needs no host
         // normalization — the simulation (and hence its allocation trace)
         // is deterministic, so the ceiling transfers across machines.
-        match committed_alloc_ceiling(&doc) {
-            Some(ceiling) => {
-                let limit = ceiling * SMOKE_TOLERANCE + ALLOC_GATE_SLACK;
-                println!(
-                    "smoke       alloc-gate           measured {alloc_per_10k:>12.2} \
-                     allocs/10k, committed {ceiling:>12.2} (limit {limit:.2})"
-                );
-                if alloc_per_10k > limit {
-                    failures.push(format!(
-                        "alloc-gate: {alloc_per_10k:.2} heap allocs per 10k retired \
-                         instrs exceeds {limit:.2} (committed {ceiling:.2} x tolerance \
-                         {SMOKE_TOLERANCE} + slack {ALLOC_GATE_SLACK})"
-                    ));
-                }
-            }
-            // Committed file predates the gate: nothing to compare yet.
-            None => println!("smoke       no committed alloc_per_10k_retired; gate skipped"),
+        let ceiling = committed.alloc_ceiling;
+        let limit = ceiling * SMOKE_TOLERANCE + ALLOC_GATE_SLACK;
+        println!(
+            "smoke       alloc-gate           measured {alloc_per_10k:>12.2} \
+             allocs/10k, committed {ceiling:>12.2} (limit {limit:.2})"
+        );
+        if alloc_per_10k > limit {
+            failures.push(format!(
+                "alloc-gate: {alloc_per_10k:.2} heap allocs per 10k retired \
+                 instrs exceeds {limit:.2} (committed {ceiling:.2} x tolerance \
+                 {SMOKE_TOLERANCE} + slack {ALLOC_GATE_SLACK})"
+            ));
         }
         assert!(
             failures.is_empty(),

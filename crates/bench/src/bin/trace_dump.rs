@@ -150,7 +150,7 @@ fn smoke_assertions(rec: &FlightRecording, chrome: &str, pipeview: &str, metrics
         !rec.samples.is_empty(),
         "interval sampling must produce samples"
     );
-    json::validate(chrome).expect("chrome trace must be valid JSON");
+    json::parse(chrome).expect("chrome trace must be valid JSON");
     assert!(chrome.contains("\"traceEvents\""), "chrome trace envelope");
     assert!(
         pipeview
@@ -159,7 +159,7 @@ fn smoke_assertions(rec: &FlightRecording, chrome: &str, pipeview: &str, metrics
         "pipeview must contain lifecycle rows"
     );
     let metrics = metrics.expect("smoke runs with metrics enabled");
-    json::validate(metrics).expect("metrics time-series must be valid JSON");
+    json::parse(metrics).expect("metrics time-series must be valid JSON");
 }
 
 // ---- probes (formerly the diag, diag2, diag3 binaries) --------------------

@@ -1,5 +1,7 @@
 //! Shared hand-rolled JSON emission (the workspace has no serde and no
-//! registry access), plus a minimal validator for exporter self-checks.
+//! registry access), plus the one JSON parser: exporter self-checks,
+//! telemetry files and committed `BENCH_*.json` artifacts all read
+//! through [`parse`].
 //!
 //! Every JSON artifact the bench crate writes — campaign rows, fuzz rows,
 //! `BENCH_*.json` documents, and the trace exporters — funnels its string
@@ -125,30 +127,93 @@ where
     format!("[{}]", vals.join(", "))
 }
 
-/// Validates that `s` is one complete JSON value (RFC 8259 grammar,
-/// minus the nuances nobody emits here: no duplicate-key checking).
-/// Returns the byte offset and a short description on the first error.
+/// A parsed JSON value. Numbers keep their raw text, so `u64` values
+/// round-trip exactly and callers pick the numeric type they need.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Value {
+    /// `null`.
+    Null,
+    /// `true` or `false`.
+    Bool(bool),
+    /// A number, as its raw source text.
+    Num(String),
+    /// A string, unescaped.
+    Str(String),
+    /// An array.
+    Arr(Vec<Value>),
+    /// An object's `(key, value)` pairs in source order.
+    Obj(Vec<(String, Value)>),
+}
+
+impl Value {
+    /// The value under `key` when `self` is an object that has it.
+    pub fn get(&self, key: &str) -> Option<&Value> {
+        match self {
+            Value::Obj(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+            _ => None,
+        }
+    }
+
+    /// The string, when `self` is one.
+    pub fn as_str(&self) -> Option<&str> {
+        match self {
+            Value::Str(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    /// The number as a `u64`, when `self` is a non-negative integer.
+    pub fn as_u64(&self) -> Option<u64> {
+        match self {
+            Value::Num(s) => s.parse().ok(),
+            _ => None,
+        }
+    }
+
+    /// The number as an `f64`, when `self` is a number.
+    pub fn as_f64(&self) -> Option<f64> {
+        match self {
+            Value::Num(s) => s.parse().ok(),
+            _ => None,
+        }
+    }
+
+    /// The elements, when `self` is an array.
+    pub fn as_arr(&self) -> Option<&[Value]> {
+        match self {
+            Value::Arr(v) => Some(v),
+            _ => None,
+        }
+    }
+}
+
+/// Parses `s` as one complete JSON value (RFC 8259 grammar, minus the
+/// nuances nobody emits here: no duplicate-key checking). Returns the
+/// byte offset and a short description on the first error.
 ///
-/// This is the self-check behind `trace_dump --smoke` and the exporter
-/// round-trip tests: everything the bench crate writes must parse.
-pub fn validate(s: &str) -> Result<(), String> {
+/// Besides reading committed artifacts and telemetry files back, this is
+/// the self-check behind `write_figure_doc`, `trace_dump --smoke` and the
+/// exporter round-trip tests: everything the bench crate writes must parse.
+pub fn parse(s: &str) -> Result<Value, String> {
     let mut p = Parser {
+        text: s,
         bytes: s.as_bytes(),
         pos: 0,
     };
     p.skip_ws();
-    p.value(0)?;
+    let v = p.value(0)?;
     p.skip_ws();
     if p.pos != p.bytes.len() {
         return Err(p.err("trailing data after the top-level value"));
     }
-    Ok(())
+    Ok(v)
 }
 
 /// Recursion guard: deeper nesting than any artifact we emit.
 const MAX_DEPTH: usize = 64;
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -177,113 +242,136 @@ impl Parser<'_> {
         }
     }
 
-    fn literal(&mut self, lit: &str) -> Result<(), String> {
+    fn literal(&mut self, lit: &str, v: Value) -> Result<Value, String> {
         if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
             self.pos += lit.len();
-            Ok(())
+            Ok(v)
         } else {
             Err(self.err(&format!("expected '{lit}'")))
         }
     }
 
-    fn value(&mut self, depth: usize) -> Result<(), String> {
+    fn value(&mut self, depth: usize) -> Result<Value, String> {
         if depth > MAX_DEPTH {
             return Err(self.err("nesting too deep"));
         }
         match self.peek() {
             Some(b'{') => self.object(depth),
             Some(b'[') => self.array(depth),
-            Some(b'"') => self.string(),
-            Some(b't') => self.literal("true"),
-            Some(b'f') => self.literal("false"),
-            Some(b'n') => self.literal("null"),
+            Some(b'"') => Ok(Value::Str(self.string()?)),
+            Some(b't') => self.literal("true", Value::Bool(true)),
+            Some(b'f') => self.literal("false", Value::Bool(false)),
+            Some(b'n') => self.literal("null", Value::Null),
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
     }
 
-    fn object(&mut self, depth: usize) -> Result<(), String> {
+    fn object(&mut self, depth: usize) -> Result<Value, String> {
         self.expect(b'{')?;
         self.skip_ws();
+        let mut pairs = Vec::new();
         if self.peek() == Some(b'}') {
             self.pos += 1;
-            return Ok(());
+            return Ok(Value::Obj(pairs));
         }
         loop {
             self.skip_ws();
-            self.string()?;
+            let key = self.string()?;
             self.skip_ws();
             self.expect(b':')?;
             self.skip_ws();
-            self.value(depth + 1)?;
+            pairs.push((key, self.value(depth + 1)?));
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b'}') => {
                     self.pos += 1;
-                    return Ok(());
+                    return Ok(Value::Obj(pairs));
                 }
                 _ => return Err(self.err("expected ',' or '}' in object")),
             }
         }
     }
 
-    fn array(&mut self, depth: usize) -> Result<(), String> {
+    fn array(&mut self, depth: usize) -> Result<Value, String> {
         self.expect(b'[')?;
         self.skip_ws();
+        let mut vals = Vec::new();
         if self.peek() == Some(b']') {
             self.pos += 1;
-            return Ok(());
+            return Ok(Value::Arr(vals));
         }
         loop {
             self.skip_ws();
-            self.value(depth + 1)?;
+            vals.push(self.value(depth + 1)?);
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b']') => {
                     self.pos += 1;
-                    return Ok(());
+                    return Ok(Value::Arr(vals));
                 }
                 _ => return Err(self.err("expected ',' or ']' in array")),
             }
         }
     }
 
-    fn string(&mut self) -> Result<(), String> {
+    fn string(&mut self) -> Result<String, String> {
         self.expect(b'"')?;
+        let mut out = String::new();
         loop {
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
                     self.pos += 1;
-                    return Ok(());
+                    return Ok(out);
                 }
                 Some(b'\\') => {
                     self.pos += 1;
                     match self.peek() {
-                        Some(b'"' | b'\\' | b'/' | b'b' | b'f' | b'n' | b'r' | b't') => {
-                            self.pos += 1;
-                        }
+                        Some(b'"') => out.push('"'),
+                        Some(b'\\') => out.push('\\'),
+                        Some(b'/') => out.push('/'),
+                        Some(b'b') => out.push('\u{8}'),
+                        Some(b'f') => out.push('\u{c}'),
+                        Some(b'n') => out.push('\n'),
+                        Some(b'r') => out.push('\r'),
+                        Some(b't') => out.push('\t'),
                         Some(b'u') => {
-                            self.pos += 1;
-                            for _ in 0..4 {
-                                if !self.peek().is_some_and(|b| b.is_ascii_hexdigit()) {
-                                    return Err(self.err("bad \\u escape"));
-                                }
-                                self.pos += 1;
-                            }
+                            // Exactly four hex digits: `from_str_radix`
+                            // alone would also take a leading `+`.
+                            let code = self
+                                .text
+                                .get(self.pos + 1..self.pos + 5)
+                                .filter(|h| h.bytes().all(|b| b.is_ascii_hexdigit()))
+                                .and_then(|h| u32::from_str_radix(h, 16).ok())
+                                .ok_or_else(|| self.err("bad \\u escape"))?;
+                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
+                            self.pos += 4;
                         }
                         _ => return Err(self.err("bad escape")),
                     }
+                    self.pos += 1;
                 }
                 Some(b) if b < 0x20 => return Err(self.err("raw control character in string")),
-                Some(_) => self.pos += 1,
+                Some(_) => {
+                    // A run of plain characters up to the next quote,
+                    // escape or control byte (all ASCII, so the run ends
+                    // on a char boundary).
+                    let run = self.bytes[self.pos..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                        .unwrap_or(self.bytes.len() - self.pos);
+                    out.push_str(&self.text[self.pos..self.pos + run]);
+                    self.pos += run;
+                }
             }
         }
     }
 
-    fn number(&mut self) -> Result<(), String> {
+    fn number(&mut self) -> Result<Value, String> {
+        let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
@@ -308,7 +396,7 @@ impl Parser<'_> {
             }
             digits(self)?;
         }
-        Ok(())
+        Ok(Value::Num(self.text[start..self.pos].to_string()))
     }
 }
 
@@ -364,7 +452,20 @@ mod tests {
             ),
             inline_array(["1", "-2.5e3", "true"]),
         );
-        validate(&doc).unwrap();
+        let v = parse(&doc).unwrap();
+        let rows = v.get("rows").and_then(Value::as_arr).unwrap();
+        assert_eq!(rows[0].get("b").and_then(Value::as_str), Some("a\"b"));
+        assert_eq!(rows[0].get("n").and_then(Value::as_u64), Some(1));
+        assert_eq!(rows[1].get("le"), Some(&Value::Null));
+        let x = v.get("x").and_then(Value::as_arr).unwrap();
+        assert_eq!(x[1], Value::Num("-2.5e3".to_string()));
+        assert_eq!(x[2], Value::Bool(true));
+        assert_eq!(
+            parse("\"\\u0041\\n\\u00e9\"").unwrap(),
+            Value::Str("A\né".to_string())
+        );
+        let big = u64::MAX.to_string();
+        assert_eq!(parse(&big).unwrap().as_u64(), Some(u64::MAX));
     }
 
     #[test]
@@ -378,8 +479,10 @@ mod tests {
             "01x",
             "{} trailing",
             "{\"a\": nul}",
+            "\"\\u+041\"",
+            "\"\\u04\"",
         ] {
-            assert!(validate(bad).is_err(), "accepted: {bad:?}");
+            assert!(parse(bad).is_err(), "accepted: {bad:?}");
         }
     }
 }

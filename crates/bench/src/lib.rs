@@ -1,11 +1,13 @@
 //! Experiment harness regenerating every table and figure of the paper's
 //! evaluation (§5) plus the §3 fault-tolerance scenarios.
 //!
-//! The binaries (`paper_tables`, `table1`, `table3`, `fig6`, `fig7`,
-//! `fig8`, `fault_tolerance`, `fault_campaign`) print the same
-//! rows/series the paper reports; the Criterion benches in `benches/`
-//! time the simulators themselves and re-run reduced-scale versions of
-//! each experiment so `cargo bench` regenerates everything.
+//! `paper_tables` prints Table 1, Figures 6–8, Table 3 and a §3 spot
+//! check, and writes the committed `BENCH_fig*.json` and
+//! `BENCH_paper_tables.json`; `fault_campaign` is the full §3 / Figure 5
+//! sweep. The other binaries are `ablations`, `cpi_stack`,
+//! `differential_fuzz`, `telemetry_report`, `throughput` and
+//! `trace_dump`. The std-only benches in `benches/` time the simulators
+//! themselves on reduced-scale versions of each experiment.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -14,7 +16,7 @@
 pub mod campaign;
 /// Parallel differential fuzzing over random programs.
 pub mod fuzz;
-/// Shared hand-rolled JSON emission and validation.
+/// Shared hand-rolled JSON emission and the one JSON parser.
 pub mod json;
 /// Delta-debugging shrinker for failing fuzz cases.
 pub mod shrink;
@@ -24,8 +26,8 @@ pub mod telemetry_export;
 pub mod trace_export;
 
 use slipstream_core::{
-    run_superscalar, BaselineStats, CpiCat, FaultTarget, RemovalPolicy, SlipstreamConfig,
-    SlipstreamProcessor, SlipstreamStats,
+    run_superscalar, BaselineStats, CpiCat, RemovalPolicy, SlipstreamConfig, SlipstreamProcessor,
+    SlipstreamStats,
 };
 use slipstream_cpu::CoreConfig;
 use slipstream_workloads::{benchmark, suite, Workload};
@@ -42,7 +44,8 @@ pub use fuzz::{
 };
 pub use shrink::{live_count, shrink, ShrinkOutcome};
 pub use telemetry_export::{
-    committed_calibration, deterministic_jsonl, parse_jsonl, report_text, to_jsonl, WINDOWED_SET,
+    committed_throughput, deterministic_jsonl, parse_jsonl, report_text, to_jsonl,
+    CommittedThroughput, ModelTotal, WINDOWED_SET,
 };
 pub use trace_export::{
     chrome_trace_json, cpi_stack_obj, first_divergence, lifecycles, metrics_json, pipeview_text,
@@ -521,7 +524,7 @@ pub fn top_sinks(stack: &slipstream_cpu::CpiStack, n: usize) -> Vec<(&'static st
 /// Writes `text` to `name` in the current directory (the convention all
 /// `BENCH_*.json` emitters follow) after self-validating it as JSON.
 pub fn write_figure_doc(name: &str, text: &str) {
-    json::validate(text).unwrap_or_else(|e| panic!("{name}: emitted invalid JSON: {e}"));
+    json::parse(text).unwrap_or_else(|e| panic!("{name}: emitted invalid JSON: {e}"));
     std::fs::write(name, text).unwrap_or_else(|e| panic!("write {name}: {e}"));
     eprintln!("wrote {name}");
 }
@@ -545,82 +548,4 @@ pub fn print_table3(rows: &[BenchRow]) {
         );
     }
     println!();
-}
-
-// ---- fault-tolerance campaign (paper §3 / Figure 5) -----------------------
-
-/// Aggregate result of a fault-injection campaign.
-#[derive(Debug, Clone, Default)]
-pub struct FaultCampaign {
-    /// Faults that fired and were detected, with correct final output.
-    pub detected_recovered: u64,
-    /// Faults that fired with correct final output and no fault-attributed
-    /// detection (architecturally masked).
-    pub masked: u64,
-    /// Faults that corrupted the final output.
-    pub silent: u64,
-    /// Runs that failed to complete.
-    pub hangs: u64,
-    /// Armed faults that never fired — dead injection sites, excluded from
-    /// the rate denominator (the paper counts activated faults only).
-    pub not_activated: u64,
-    /// Injections whose fault actually fired (tracked even for hangs).
-    pub fired: u64,
-}
-
-impl FaultCampaign {
-    /// Total injections (activated or not).
-    pub fn total(&self) -> u64 {
-        self.detected_recovered + self.masked + self.silent + self.hangs + self.not_activated
-    }
-
-    /// Injections whose fault actually fired — the rate denominator.
-    pub fn activated(&self) -> u64 {
-        self.fired
-    }
-}
-
-/// Injects `n` deterministic single-bit faults into `target` while running
-/// `bench_name` at `scale`, classifying each run. A thin single-bench
-/// wrapper over [`campaign::run_campaign`]; seeds/sites are identical to a
-/// full campaign with the same `seed`.
-pub fn fault_campaign(
-    bench_name: &str,
-    scale: f64,
-    target: FaultTarget,
-    n: u64,
-    seed: u64,
-) -> FaultCampaign {
-    let cfg = CampaignConfig {
-        scale,
-        sites_per_target: n as usize,
-        workers: available_workers(),
-        seed,
-        max_cycles: MAX_CYCLES,
-    };
-    let result = run_campaign(&cfg, &[bench_name], &[target]);
-    let s = result.totals();
-    FaultCampaign {
-        detected_recovered: s.detected_recovered,
-        masked: s.masked,
-        silent: s.silent,
-        hangs: s.hangs,
-        not_activated: s.not_activated,
-        fired: s.fired,
-    }
-}
-
-/// Pretty-prints a campaign (rates over activated injections).
-pub fn print_campaign(label: &str, c: &FaultCampaign) {
-    let pct = |n: u64| 100.0 * n as f64 / c.activated().max(1) as f64;
-    println!(
-        "{label}: {} injections ({} activated) — detected+recovered {:.0}%, masked {:.0}%, \
-         silent {:.0}%, hangs {}",
-        c.total(),
-        c.activated(),
-        pct(c.detected_recovered),
-        pct(c.masked),
-        pct(c.silent),
-        c.hangs
-    );
 }

@@ -11,7 +11,7 @@
 //! with nothing but a shell and `date +%s%N` — and everything still
 //! parses, merges, and reports.
 
-use crate::json;
+use crate::json::{self, Value};
 use slipstream_telemetry::{HistRow, Snapshot, SpanRow};
 
 // ---- JSONL emission -------------------------------------------------------
@@ -123,269 +123,10 @@ pub fn deterministic_jsonl(snap: &Snapshot) -> String {
     out
 }
 
-// ---- a small JSON value parser --------------------------------------------
-//
-// `json::validate` checks grammar but produces nothing; the exporters
-// need actual values back (for JSONL round-trips, the report's CPI-stack
-// juxtaposition, and the committed-calibration lookup). This is the same
-// RFC 8259 subset the validator accepts, materialized. Numbers keep
-// their raw text so integer round-trips are exact.
-
-/// A parsed JSON value.
-enum Val {
-    Null,
-    Bool,
-    /// Raw number text (lossless for `u64` round-trips).
-    Num(String),
-    Str(String),
-    Arr(Vec<Val>),
-    Obj(Vec<(String, Val)>),
-}
-
-impl Val {
-    fn get(&self, key: &str) -> Option<&Val> {
-        match self {
-            Val::Obj(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    fn as_str(&self) -> Option<&str> {
-        match self {
-            Val::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    fn as_u64(&self) -> Option<u64> {
-        match self {
-            Val::Num(s) => s.parse().ok(),
-            _ => None,
-        }
-    }
-
-    fn as_f64(&self) -> Option<f64> {
-        match self {
-            Val::Num(s) => s.parse().ok(),
-            _ => None,
-        }
-    }
-
-    fn as_arr(&self) -> Option<&[Val]> {
-        match self {
-            Val::Arr(v) => Some(v),
-            _ => None,
-        }
-    }
-}
-
-/// Parses one complete JSON value (rejecting trailing data).
-fn parse_json(s: &str) -> Result<Val, String> {
-    let mut p = Reader {
-        bytes: s.as_bytes(),
-        pos: 0,
-    };
-    p.skip_ws();
-    let v = p.value(0)?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(p.err("trailing data after the top-level value"));
-    }
-    Ok(v)
-}
-
-/// Recursion guard, matching `json::validate`.
-const MAX_DEPTH: usize = 64;
-
-struct Reader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Reader<'_> {
-    fn err(&self, what: &str) -> String {
-        format!("byte {}: {}", self.pos, what)
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected '{}'", b as char)))
-        }
-    }
-
-    fn value(&mut self, depth: usize) -> Result<Val, String> {
-        if depth > MAX_DEPTH {
-            return Err(self.err("nesting too deep"));
-        }
-        match self.peek() {
-            Some(b'{') => self.object(depth),
-            Some(b'[') => self.array(depth),
-            Some(b'"') => Ok(Val::Str(self.string()?)),
-            Some(b't') => self.literal("true", Val::Bool),
-            Some(b'f') => self.literal("false", Val::Bool),
-            Some(b'n') => self.literal("null", Val::Null),
-            Some(b'-' | b'0'..=b'9') => self.number(),
-            _ => Err(self.err("expected a JSON value")),
-        }
-    }
-
-    fn literal(&mut self, lit: &str, v: Val) -> Result<Val, String> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
-            self.pos += lit.len();
-            Ok(v)
-        } else {
-            Err(self.err(&format!("expected '{lit}'")))
-        }
-    }
-
-    fn object(&mut self, depth: usize) -> Result<Val, String> {
-        self.expect(b'{')?;
-        self.skip_ws();
-        let mut pairs = Vec::new();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Val::Obj(pairs));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            pairs.push((key, self.value(depth + 1)?));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Val::Obj(pairs));
-                }
-                _ => return Err(self.err("expected ',' or '}' in object")),
-            }
-        }
-    }
-
-    fn array(&mut self, depth: usize) -> Result<Val, String> {
-        self.expect(b'[')?;
-        self.skip_ws();
-        let mut vals = Vec::new();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Val::Arr(vals));
-        }
-        loop {
-            self.skip_ws();
-            vals.push(self.value(depth + 1)?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Val::Arr(vals));
-                }
-                _ => return Err(self.err("expected ',' or ']' in array")),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Err(self.err("unterminated string")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                .ok_or_else(|| self.err("bad \\u escape"))?;
-                            out.push(char::from_u32(hex).unwrap_or('\u{fffd}'));
-                            self.pos += 4;
-                        }
-                        _ => return Err(self.err("bad escape")),
-                    }
-                    self.pos += 1;
-                }
-                Some(b) if b < 0x20 => return Err(self.err("raw control character in string")),
-                Some(_) => {
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest)
-                        .map_err(|_| self.err("invalid UTF-8 in string"))?;
-                    let c = s.chars().next().expect("peeked non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<Val, String> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        let digits = |p: &mut Reader| -> Result<(), String> {
-            if !p.peek().is_some_and(|b| b.is_ascii_digit()) {
-                return Err(p.err("expected a digit"));
-            }
-            while p.peek().is_some_and(|b| b.is_ascii_digit()) {
-                p.pos += 1;
-            }
-            Ok(())
-        };
-        digits(self)?;
-        if self.peek() == Some(b'.') {
-            self.pos += 1;
-            digits(self)?;
-        }
-        if matches!(self.peek(), Some(b'e' | b'E')) {
-            self.pos += 1;
-            if matches!(self.peek(), Some(b'+' | b'-')) {
-                self.pos += 1;
-            }
-            digits(self)?;
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .expect("number bytes are ASCII")
-            .to_string();
-        Ok(Val::Num(text))
-    }
-}
-
 // ---- JSONL parsing --------------------------------------------------------
 
 /// Extracts `(bucket, count)` pairs from an optional `buckets` field.
-fn read_buckets(obj: &Val) -> Result<Vec<(u32, u64)>, String> {
+fn read_buckets(obj: &Value) -> Result<Vec<(u32, u64)>, String> {
     let Some(arr) = obj.get("buckets") else {
         return Ok(Vec::new());
     };
@@ -405,18 +146,25 @@ fn read_buckets(obj: &Val) -> Result<Vec<(u32, u64)>, String> {
 }
 
 /// A required string field.
-fn need_str(obj: &Val, key: &str) -> Result<String, String> {
+fn need_str(obj: &Value, key: &str) -> Result<String, String> {
     obj.get(key)
-        .and_then(Val::as_str)
+        .and_then(Value::as_str)
         .map(str::to_string)
         .ok_or_else(|| format!("missing string field {key:?}"))
 }
 
 /// A required integer field.
-fn need_u64(obj: &Val, key: &str) -> Result<u64, String> {
+fn need_u64(obj: &Value, key: &str) -> Result<u64, String> {
     obj.get(key)
-        .and_then(Val::as_u64)
+        .and_then(Value::as_u64)
         .ok_or_else(|| format!("missing integer field {key:?}"))
+}
+
+/// A required numeric field.
+fn need_f64(obj: &Value, key: &str) -> Result<f64, String> {
+    obj.get(key)
+        .and_then(Value::as_f64)
+        .ok_or_else(|| format!("missing number field {key:?}"))
 }
 
 /// Parses a telemetry JSONL document back into a [`Snapshot`]. A
@@ -444,7 +192,7 @@ pub fn parse_jsonl(text: &str) -> Result<Snapshot, String> {
             continue;
         }
         let fail = |e: String| format!("line {}: {e}", idx + 1);
-        let val = parse_json(line).map_err(&fail)?;
+        let val = json::parse(line).map_err(&fail)?;
         let ty = need_str(&val, "type").map_err(&fail)?;
         match ty.as_str() {
             "manifest" => {
@@ -455,9 +203,10 @@ pub fn parse_jsonl(text: &str) -> Result<Snapshot, String> {
                 snap.binary = need_str(&val, "binary").map_err(&fail)?;
                 snap.scheduler = need_str(&val, "scheduler").map_err(&fail)?;
                 snap.config_digest = need_str(&val, "config_digest").map_err(&fail)?;
-                snap.calibration_instrs_per_sec =
-                    val.get("calibration_instrs_per_sec").and_then(Val::as_f64);
-                if let Some(Val::Obj(pairs)) = val.get("labels") {
+                snap.calibration_instrs_per_sec = val
+                    .get("calibration_instrs_per_sec")
+                    .and_then(Value::as_f64);
+                if let Some(Value::Obj(pairs)) = val.get("labels") {
                     for (k, v) in pairs {
                         let v = v.as_str().ok_or_else(|| fail("non-string label".into()))?;
                         snap.labels.push((k.clone(), v.to_string()));
@@ -491,19 +240,66 @@ pub fn parse_jsonl(text: &str) -> Result<Snapshot, String> {
     Ok(snap)
 }
 
-// ---- committed-calibration lookup -----------------------------------------
+// ---- committed throughput reader ------------------------------------------
 
-/// The calibration anchor from a committed `BENCH_throughput.json`
-/// document: the `instrs_per_sec` of its `bench == "calibration"` row.
-/// `None` when the document doesn't parse or has no such row, so callers
-/// degrade to an un-anchored manifest.
-pub fn committed_calibration(doc: &str) -> Option<f64> {
-    let val = parse_json(doc).ok()?;
-    let rows = val.get("rows")?.as_arr()?;
-    rows.iter()
-        .find(|r| r.get("bench").and_then(Val::as_str) == Some("calibration"))
-        .and_then(|r| r.get("instrs_per_sec"))
-        .and_then(Val::as_f64)
+/// One `model_totals` entry of a committed `BENCH_throughput.json`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ModelTotal {
+    /// Model name (`calibration`, `ss64`, `slipstream`, ...).
+    pub model: String,
+    /// Simulated instructions summed over the model's rows.
+    pub instructions: u64,
+    /// Best-of-reps wall seconds summed over the model's rows.
+    pub seconds: f64,
+}
+
+impl ModelTotal {
+    /// Simulated instructions per wall-clock second.
+    pub fn instrs_per_sec(&self) -> f64 {
+        self.instructions as f64 / self.seconds
+    }
+}
+
+/// What the gates read back from a committed `BENCH_throughput.json`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct CommittedThroughput {
+    /// `alloc_per_10k_retired`: the allocation gate's ceiling.
+    pub alloc_ceiling: f64,
+    /// The `calibration` model's totals: the host-speed anchor.
+    pub calibration: ModelTotal,
+    /// Every `model_totals` entry, calibration included, in file order.
+    pub model_totals: Vec<ModelTotal>,
+}
+
+/// Reads a committed `BENCH_throughput.json` document: the allocation
+/// ceiling and the per-model `model_totals` (not the per-benchmark
+/// `rows`). The error names the first missing or malformed field.
+pub fn committed_throughput(doc: &str) -> Result<CommittedThroughput, String> {
+    let val = json::parse(doc)?;
+    let alloc_ceiling = need_f64(&val, "alloc_per_10k_retired")?;
+    let model_totals = val
+        .get("model_totals")
+        .and_then(Value::as_arr)
+        .ok_or("missing array field \"model_totals\"")?
+        .iter()
+        .map(|t| {
+            Ok(ModelTotal {
+                model: need_str(t, "model")?,
+                instructions: need_u64(t, "instructions")?,
+                seconds: need_f64(t, "seconds")?,
+            })
+        })
+        .collect::<Result<Vec<_>, String>>()?;
+    let calibration = model_totals
+        .iter()
+        .find(|t| t.model == "calibration")
+        .cloned()
+        .ok_or("model_totals has no \"calibration\" entry")?;
+    Ok(CommittedThroughput {
+        alloc_ceiling,
+        calibration,
+        model_totals,
+    })
 }
 
 // ---- the unified run report -----------------------------------------------
@@ -620,13 +416,13 @@ fn attribution_section(out: &mut String, snap: &Snapshot) {
 /// `BENCH_cpi_stack.json` document: suite-total A-stream cycles per CPI
 /// category. `None` when the document doesn't parse.
 fn simulated_section(cpi_doc: &str) -> Option<String> {
-    let val = parse_json(cpi_doc).ok()?;
+    let val = json::parse(cpi_doc).ok()?;
     let rows = val.get("rows")?.as_arr()?;
     let mut cats: Vec<(String, u64)> = Vec::new();
     let mut total = 0u64;
     for row in rows {
-        total += row.get("a_cycles").and_then(Val::as_u64)?;
-        let Some(Val::Obj(stack)) = row.get("a") else {
+        total += row.get("a_cycles").and_then(Value::as_u64)?;
+        let Some(Value::Obj(stack)) = row.get("a") else {
             return None;
         };
         for (cat, cycles) in stack {
@@ -740,7 +536,7 @@ mod tests {
         let snap = sample_snapshot();
         let text = to_jsonl(&snap);
         for line in text.lines() {
-            json::validate(line).unwrap_or_else(|e| panic!("invalid line {line:?}: {e}"));
+            json::parse(line).unwrap_or_else(|e| panic!("invalid line {line:?}: {e}"));
         }
         let parsed = parse_jsonl(&text).unwrap();
         assert_eq!(parsed, snap);
@@ -779,14 +575,40 @@ mod tests {
     }
 
     #[test]
+    fn parse_jsonl_rejects_a_plus_signed_unicode_escape() {
+        let line = "{\"type\": \"span\", \"name\": \"\\u+041\", \"count\": 1, \"total_nanos\": 1}";
+        assert!(parse_jsonl(line).is_err(), "accepted {line:?}");
+        let ok = line.replace("\\u+041", "\\u0041");
+        assert_eq!(parse_jsonl(&ok).unwrap().spans[0].name, "A");
+    }
+
+    #[test]
     fn committed_calibration_reads_the_throughput_doc() {
-        let doc = "{\n  \"scale\": 1,\n  \"rows\": [\n    \
-                   {\"bench\": \"calibration\", \"model\": \"calibration\", \
-                   \"instrs_per_sec\": 10164380},\n    \
-                   {\"bench\": \"gcc\", \"model\": \"ss64\", \"instrs_per_sec\": 1}\n  ]\n}\n";
-        assert_eq!(committed_calibration(doc), Some(10_164_380.0));
-        assert_eq!(committed_calibration("{}"), None);
-        assert_eq!(committed_calibration("nonsense"), None);
+        let doc = "{\n  \"alloc_per_10k_retired\": 37.53,\n  \"rows\": [\n  ],\n  \
+                   \"model_totals\": [\n    \
+                   {\"model\": \"calibration\", \"instructions\": 100, \"seconds\": 0.5},\n    \
+                   {\"model\": \"ss64\", \"instructions\": 7, \"seconds\": 1.0}\n  ]\n}\n";
+        let t = committed_throughput(doc).unwrap();
+        assert_eq!(t.alloc_ceiling, 37.53);
+        assert_eq!(t.calibration.instrs_per_sec(), 200.0);
+        assert_eq!(t.model_totals.len(), 2);
+        let err = |doc: &str| committed_throughput(doc).unwrap_err();
+        assert!(err("{}").contains("alloc_per_10k_retired"));
+        assert!(err("{\"alloc_per_10k_retired\": 1}").contains("model_totals"));
+        let no_cal = doc.replace("\"calibration\"", "\"other\"");
+        assert!(err(&no_cal).contains("calibration"));
+        assert!(err("nonsense").contains("byte 0"));
+    }
+
+    #[test]
+    fn committed_throughput_counts_each_model_once() {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_throughput.json");
+        let doc = std::fs::read_to_string(path).expect("committed throughput artifact exists");
+        let t = committed_throughput(&doc).unwrap();
+        assert_eq!(t.alloc_ceiling, 37.53);
+        assert_eq!(t.calibration.instructions, 1_200_002);
+        assert_eq!(t.calibration.seconds, 0.118060);
+        assert_eq!(t.model_totals.len(), 5);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use slipstream_bench::MAX_CYCLES;
+use slipstream_bench::{committed_throughput, MAX_CYCLES};
 use slipstream_core::{ExecMode, SlipstreamConfig, SlipstreamProcessor};
 use slipstream_workloads::suite;
 
@@ -70,13 +70,9 @@ const SLACK_PER_10K: f64 = 5.0;
 fn committed_ceiling() -> f64 {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_throughput.json");
     let doc = std::fs::read_to_string(path).expect("committed throughput artifact exists");
-    let key = "\"alloc_per_10k_retired\": ";
-    let at = doc.find(key).expect("doc commits an allocation ceiling") + key.len();
-    doc[at..]
-        .split(|c: char| c == ',' || c == '}' || c.is_whitespace())
-        .next()
-        .and_then(|n| n.parse().ok())
-        .expect("ceiling is a number")
+    committed_throughput(&doc)
+        .unwrap_or_else(|e| panic!("BENCH_throughput.json: {e}"))
+        .alloc_ceiling
 }
 
 /// One gate probe: the slack-window scheduler on m88ksim at `scale`, with

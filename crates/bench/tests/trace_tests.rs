@@ -140,7 +140,7 @@ fn metrics_cpi_series_sums_per_interval_and_is_worker_count_independent() {
         serial.contains("\"delay_empty\""),
         "stacked rows name the accounting categories"
     );
-    json::validate(&serial).expect("metrics export must be valid JSON");
+    json::parse(&serial).expect("metrics export must be valid JSON");
     // Same run on 4 concurrent workers: the CPI time-series is a pure
     // function of simulated cycles, so it must be byte-identical.
     let outputs: Vec<_> = std::thread::scope(|scope| {
@@ -167,7 +167,7 @@ fn chrome_trace_of_a_tiny_program_round_trips_as_valid_json() {
     .expect("clean program must not panic");
     assert!(halted);
     let chrome = chrome_trace_json(&rec);
-    json::validate(&chrome).expect("chrome trace export must be valid JSON");
+    json::parse(&chrome).expect("chrome trace export must be valid JSON");
     assert!(chrome.contains("\"traceEvents\""));
     assert!(
         chrome.contains("\"ph\": \"X\""),
@@ -178,7 +178,7 @@ fn chrome_trace_of_a_tiny_program_round_trips_as_valid_json() {
         "counter samples must be present"
     );
     let metrics = metrics_json(&rec.samples);
-    json::validate(&metrics).expect("metrics export must be valid JSON");
+    json::parse(&metrics).expect("metrics export must be valid JSON");
     assert!(
         !rec.samples.is_empty(),
         "interval sampling produced samples"

@@ -33,6 +33,11 @@ run_gate "cargo clippy (warnings are errors)" \
 
 run_gate "cargo build --release" cargo build --release
 
+# perfbench/ is its own workspace, so the builds above never compile it;
+# a change that removes a public item the benchmark uses fails here.
+run_gate "cargo check perfbench (repository benchmark still builds)" \
+    cargo check --offline --manifest-path perfbench/Cargo.toml
+
 run_gate "cargo test (workspace)" cargo test --workspace -q
 
 run_gate "fault-campaign smoke (reduced-scale §3 sweep)" \
