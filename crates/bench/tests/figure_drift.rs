@@ -6,7 +6,8 @@
 //! --bin paper_tables`), so the paper's figures can never silently drift
 //! from the code that claims to reproduce them. A second check holds the
 //! EXPERIMENTS.md tables to the same committed anchors, and a third holds
-//! every documented `--bin` to a binary that exists.
+//! every documented `--bin` to a binary that exists and every documented
+//! `--flag` to an option some binary parses.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -200,4 +201,30 @@ fn documented_bench_binaries_exist() {
         }
     }
     assert!(checked > 0, "no `--bin` references found");
+
+    // Every `--flag` the docs mention must be parsed somewhere: as a string
+    // literal in a bench binary or the benchmark driver, or be one of the
+    // flags the docs pass to cargo itself.
+    const CARGO_FLAGS: [&str; 4] = ["--release", "--bin", "--example", "--workspace"];
+    let mut sources = fs::read_to_string(repo_root().join("perfbench/src/main.rs"))
+        .expect("benchmark driver exists");
+    for entry in fs::read_dir(&bins).expect("bin directory") {
+        sources += &fs::read_to_string(entry.expect("bin entry").path()).expect("bin source");
+    }
+    let mut flags = 0;
+    for file in ["README.md", "DESIGN.md", "EXPERIMENTS.md"] {
+        let text = fs::read_to_string(repo_root().join(file)).expect("doc exists");
+        for token in text.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-')) {
+            let flag = token.trim_end_matches('-');
+            if !flag.starts_with("--") || !flag[2..].starts_with(|c: char| c.is_ascii_lowercase()) {
+                continue;
+            }
+            assert!(
+                CARGO_FLAGS.contains(&flag) || sources.contains(&format!("\"{flag}\"")),
+                "{file} mentions `{flag}`, but no bench binary parses it"
+            );
+            flags += 1;
+        }
+    }
+    assert!(flags > 0, "no `--flag` references found");
 }

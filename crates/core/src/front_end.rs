@@ -212,17 +212,15 @@ pub struct TraceFrontEnd {
     pub skip_counts: FastHashMap<u8, u64>,
     /// Front-end statistics.
     pub stats: FrontEndStats,
-    /// Debug histogram: committed traces by (start_pc, len).
-    pub commit_histogram: FastHashMap<(u64, u8), u64>,
     /// Flight recorder for removal events; the front end has no clock of
     /// its own, so the owning harness stamps the cycle each step.
     pub trace: Option<TraceSink>,
     /// Committed trace ids whose *learning* side effects (predictor
-    /// training, retired history, trace cache, commit histogram) have not
-    /// been applied yet. All schedulers defer learning to the next sync
-    /// boundary ([`TraceFrontEnd::apply_training`]) so that the
-    /// slack-window checkpoint never has to snapshot the predictor tables
-    /// and every mode trains at identical points.
+    /// training, retired history, trace cache) have not been applied
+    /// yet. All schedulers defer learning to the next sync boundary
+    /// ([`TraceFrontEnd::apply_training`]) so that the slack-window
+    /// checkpoint never has to snapshot the predictor tables and every
+    /// mode trains at identical points.
     train_q: Vec<TraceId>,
 }
 
@@ -282,15 +280,9 @@ impl TraceFrontEnd {
             retire_budget: usize::MAX,
             skip_counts: FastHashMap::default(),
             stats: FrontEndStats::default(),
-            commit_histogram: FastHashMap::default(),
             trace: None,
             train_q: Vec::new(),
         }
-    }
-
-    /// Whether the front end has supplied `halt` and gone quiescent.
-    pub fn is_done(&self) -> bool {
-        self.done
     }
 
     /// Restarts the front end at `pc` with all in-flight state dropped
@@ -619,26 +611,10 @@ impl TraceFrontEnd {
 }
 
 impl CoreDriver for TraceFrontEnd {
-    fn next_fetch(&mut self) -> Option<FetchItem> {
-        let mut guard = 0;
-        while self.ready.is_empty() {
-            if !self.prepare_trace() {
-                return None;
-            }
-            guard += 1;
-            if guard > 64 {
-                // Pathological full-trace removal run; yield this cycle.
-                return None;
-            }
-        }
-        self.ready.pop_front()
-    }
-
     fn next_fetch_block(&mut self, out: &mut FetchBlock, max: usize) {
         // Native batch: drain whatever `ready` already holds, preparing
-        // more traces only when it runs dry. The guard matches
-        // `next_fetch` exactly (per item, not per block) so the two paths
-        // yield byte-identical streams.
+        // more traces only when it runs dry. The guard counts per item,
+        // not per block, so the stream does not depend on block size.
         while out.len() < max {
             let mut guard = 0;
             while self.ready.is_empty() {
@@ -647,6 +623,7 @@ impl CoreDriver for TraceFrontEnd {
                 }
                 guard += 1;
                 if guard > 64 {
+                    // Pathological full-trace removal run; yield this cycle.
                     return;
                 }
             }
@@ -791,10 +768,10 @@ impl TraceFrontEnd {
     }
 
     /// Applies all deferred learning: predictor training, retired path
-    /// history, trace-cache update, and the commit histogram, in commit
-    /// order. Called at slack-window boundaries (and before recovery
-    /// repairs) by both schedulers, so serial and windowed execution
-    /// observe byte-identical predictor state.
+    /// history, and trace-cache update, in commit order. Called at
+    /// slack-window boundaries (and before recovery repairs) by both
+    /// schedulers, so serial and windowed execution observe
+    /// byte-identical predictor state.
     pub fn apply_training(&mut self) {
         // Indexed drain: `mem::take` here would drop the queue's buffer and
         // re-allocate it one trace later, once per trace for the rest of
@@ -804,10 +781,6 @@ impl TraceFrontEnd {
             self.predictor.update(&self.retired_hist, id);
             self.retired_hist.push(id);
             self.last_trace_at.insert(id.start_pc, id);
-            *self
-                .commit_histogram
-                .entry((id.start_pc, id.len))
-                .or_insert(0) += 1;
         }
         self.train_q.clear();
     }

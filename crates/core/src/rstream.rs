@@ -139,39 +139,6 @@ impl RStreamDriver {
 }
 
 impl CoreDriver for RStreamDriver {
-    fn next_fetch(&mut self) -> Option<FetchItem> {
-        if self.frozen {
-            return None;
-        }
-        let e = self.delay.pop()?;
-        if let Some(t) = self.trace.as_mut() {
-            t.record(
-                EventKind::DelayDequeue,
-                NO_SEQ,
-                e.pc,
-                self.delay.len() as u64,
-            );
-        }
-        let meta = self.next_meta;
-        self.next_meta += 1;
-        let new_block = self.prev_pc.is_none_or(|p| p + 4 != e.pc);
-        self.prev_pc = Some(e.pc);
-        let pred_taken = e
-            .taken
-            .or_else(|| e.instr.is_branch().then(|| e.next_pc != e.pc + 4));
-        let item = FetchItem {
-            pc: e.pc,
-            instr: e.instr,
-            pred_npc: e.next_pc,
-            pred_taken,
-            new_block,
-            slot_cost: 1,
-            meta,
-        };
-        self.inflight.push_back((meta, e));
-        Some(item)
-    }
-
     fn next_fetch_block(&mut self, out: &mut FetchBlock, max: usize) {
         // Native batch: one frozen check and one virtual call per fetch
         // group. Entries pulled here but not yet consumed by the core sit

@@ -795,11 +795,6 @@ impl SlipstreamProcessor {
         });
     }
 
-    /// Whether [`SlipstreamProcessor::enable_tracing`] has been called.
-    pub fn tracing_enabled(&self) -> bool {
-        self.r.machine_trace.is_some()
-    }
-
     /// Turns on host-side telemetry: wall-clock span timers around the
     /// scheduler phases (window execution, boundary sync, checkpoint,
     /// rollback/replay, recovery). Off by default; the off path pays only
@@ -827,27 +822,6 @@ impl SlipstreamProcessor {
             merged.merge(&a);
         }
         Some(merged)
-    }
-
-    /// Freezes every installed sink after `cycle` (see
-    /// [`TraceSink::freeze_after`]) — used by traced fault experiments to
-    /// keep the window around a detection instead of the end of the run.
-    pub fn freeze_trace_after(&mut self, cycle: u64) {
-        if let Some(t) = self.a.core.trace_mut() {
-            t.freeze_after(cycle);
-        }
-        if let Some(t) = self.r.core.trace_mut() {
-            t.freeze_after(cycle);
-        }
-        if let Some(t) = self.a.fe.trace.as_mut() {
-            t.freeze_after(cycle);
-        }
-        if let Some(t) = self.r.drv.trace.as_mut() {
-            t.freeze_after(cycle);
-        }
-        if let Some(mt) = self.r.machine_trace.as_mut() {
-            mt.sink.freeze_after(cycle);
-        }
     }
 
     fn sinks(&self) -> impl Iterator<Item = &TraceSink> {
@@ -1163,10 +1137,5 @@ impl SlipstreamProcessor {
     /// The processor's configuration.
     pub fn config(&self) -> &SlipstreamConfig {
         &self.cfg
-    }
-
-    /// Debug view: committed A-stream traces by (start_pc, len).
-    pub fn commit_histogram(&self) -> &slipstream_isa::FastHashMap<(u64, u8), u64> {
-        &self.a.fe.commit_histogram
     }
 }

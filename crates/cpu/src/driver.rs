@@ -52,8 +52,8 @@ impl FetchItem {
 /// A reusable, caller-owned block of fetch items.
 ///
 /// [`crate::Core`] hands one of these to [`CoreDriver::next_fetch_block`]
-/// once per fetch group instead of making one virtual `next_fetch` call per
-/// instruction slot. The block is a simple cursor over a recycled `Vec`:
+/// once per fetch group instead of making one virtual call per instruction
+/// slot. The block is a simple cursor over a recycled `Vec`:
 /// items the core could not consume this cycle (fetch queue full, icache
 /// miss, block boundary) stay in the block and are re-examined next cycle,
 /// playing the role the old single-item `pending_fetch` stash did.
@@ -162,26 +162,16 @@ pub enum DriverStall {
 /// Call order within one simulated cycle: retirements first
 /// ([`CoreDriver::on_retire`]), then any resolved misprediction
 /// ([`CoreDriver::on_redirect`]), then dispatches
-/// ([`CoreDriver::on_dispatch`]), then fetches ([`CoreDriver::next_fetch`]).
+/// ([`CoreDriver::on_dispatch`]), then fetches
+/// ([`CoreDriver::next_fetch_block`]).
 pub trait CoreDriver {
-    /// Supplies the next instruction on the predicted path, or `None` to
-    /// let fetch idle this cycle (e.g. delay buffer empty, program done).
-    fn next_fetch(&mut self) -> Option<FetchItem>;
-
-    /// Batched fetch: appends up to `max` items to `out`, stopping early
-    /// when the stream idles. MUST yield the byte-identical item sequence
-    /// that repeated [`CoreDriver::next_fetch`] calls would — the core uses
-    /// the two interchangeably and the property-test battery compares them.
-    /// The default forwards to `next_fetch`; hot drivers override it to
-    /// amortize the virtual call and their own per-item bookkeeping.
-    fn next_fetch_block(&mut self, out: &mut FetchBlock, max: usize) {
-        while out.len() < max {
-            match self.next_fetch() {
-                Some(item) => out.push(item),
-                None => break,
-            }
-        }
-    }
+    /// Supplies the next instructions on the predicted path: appends up to
+    /// `max` items to `out`, stopping early when the stream idles this
+    /// cycle (e.g. delay buffer empty, program done). The item sequence
+    /// MUST NOT depend on how the core sizes its blocks — the
+    /// property-test battery compares one-item blocks against randomized
+    /// block sizes for every driver.
+    fn next_fetch_block(&mut self, out: &mut FetchBlock, max: usize);
 
     /// A control misprediction resolved: `resolved` is the offending
     /// instruction's functional record; fetch restarts at

@@ -34,32 +34,9 @@ impl OracleDriver {
 }
 
 impl CoreDriver for OracleDriver {
-    fn next_fetch(&mut self) -> Option<FetchItem> {
-        if self.done {
-            return None;
-        }
-        let rec = self.oracle.step(&self.program).ok()?;
-        if rec.is_halt() {
-            self.done = true;
-        }
-        // A new fetch block starts wherever the dynamic stream is not
-        // sequential (the target of a taken transfer) and at the entry.
-        let new_block = self.prev_pc.is_none_or(|p| p + 4 != rec.pc);
-        self.prev_pc = Some(rec.pc);
-        Some(FetchItem {
-            pc: rec.pc,
-            instr: rec.instr,
-            pred_npc: rec.next_pc,
-            pred_taken: rec.taken,
-            new_block,
-            slot_cost: 1,
-            meta: 0,
-        })
-    }
-
     fn next_fetch_block(&mut self, out: &mut FetchBlock, max: usize) {
         // Native batch: one bounds-check per item instead of one virtual
-        // call; identical stream to repeated `next_fetch` by construction.
+        // call per item.
         while out.len() < max && !self.done {
             let Ok(rec) = self.oracle.step(&self.program) else {
                 break;
@@ -109,8 +86,8 @@ impl StaticDriver {
         }
     }
 
-    /// One predicted fetch step; shared (monomorphic) body of both the
-    /// single-item and batched trait methods.
+    /// One predicted fetch step; the monomorphic body of the batched
+    /// trait method.
     #[inline]
     fn step_item(&mut self) -> Option<FetchItem> {
         if self.done {
@@ -146,10 +123,6 @@ impl StaticDriver {
 }
 
 impl CoreDriver for StaticDriver {
-    fn next_fetch(&mut self) -> Option<FetchItem> {
-        self.step_item()
-    }
-
     fn next_fetch_block(&mut self, out: &mut FetchBlock, max: usize) {
         // Native batch: the monomorphic `step_item` inlines here, so the
         // per-item cost is the program-text lookup alone.

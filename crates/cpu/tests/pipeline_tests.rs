@@ -5,7 +5,7 @@
 //! directions.
 
 use slipstream_cpu::{
-    Core, CoreConfig, CoreDriver, DispatchHints, FetchBlock, FetchItem, OracleDriver, StaticDriver,
+    Core, CoreConfig, CoreDriver, DispatchHints, FetchBlock, OracleDriver, StaticDriver,
 };
 use slipstream_isa::{assemble, ArchState, Program, Retired};
 
@@ -301,9 +301,6 @@ fn store_load_forwarding_returns_fresh_value() {
 struct ValuePredictedOracle(OracleDriver);
 
 impl CoreDriver for ValuePredictedOracle {
-    fn next_fetch(&mut self) -> Option<FetchItem> {
-        self.0.next_fetch()
-    }
     fn next_fetch_block(&mut self, out: &mut FetchBlock, max: usize) {
         self.0.next_fetch_block(out, max);
     }
@@ -344,9 +341,6 @@ fn value_prediction_breaks_dependence_chains() {
 struct GatedOracle(OracleDriver);
 
 impl CoreDriver for GatedOracle {
-    fn next_fetch(&mut self) -> Option<FetchItem> {
-        self.0.next_fetch()
-    }
     fn next_fetch_block(&mut self, out: &mut FetchBlock, max: usize) {
         self.0.next_fetch_block(out, max);
     }

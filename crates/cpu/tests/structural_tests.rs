@@ -133,8 +133,8 @@ fn fault_flips_branch_outcome() {
     // branch resolves as a misprediction and redirects.
     struct Tolerant(OracleDriver, u64);
     impl CoreDriver for Tolerant {
-        fn next_fetch(&mut self) -> Option<slipstream_cpu::FetchItem> {
-            self.0.next_fetch()
+        fn next_fetch_block(&mut self, out: &mut slipstream_cpu::FetchBlock, max: usize) {
+            self.0.next_fetch_block(out, max);
         }
         fn on_redirect(&mut self, resolved: &Retired, _meta: u64) {
             // Resynchronize a fresh oracle-like walk from the faulty path.

@@ -55,7 +55,7 @@ run_gate "throughput smoke (speed gate vs committed BENCH_throughput.json)" \
 run_gate "cpi-stack smoke (drift gate vs committed BENCH_cpi_stack.json)" \
     cargo run --release -q -p slipstream-bench --bin cpi_stack -- --smoke
 
-run_gate "telemetry smoke (JSONL round-trip + exposition + attribution)" \
+run_gate "telemetry smoke (JSONL round-trip + attribution)" \
     cargo run --release -q -p slipstream-bench --bin telemetry_report -- --smoke
 
 cargo run --release -q -p slipstream-bench --bin telemetry_report -- --gate-summary "$GATE_LOG"
