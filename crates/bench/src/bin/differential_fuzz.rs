@@ -4,24 +4,30 @@
 //! Sweeps thousands of seeded `random_program`s across a worker pool; each
 //! program is checked against the standard invariant battery (cycle-level
 //! core vs oracle, slipstream under every removal policy with strict +
-//! online checks, stats sanity). Violations are delta-debugged down to
-//! minimal reproducers and printed as assembly; `--emit-corpus` writes
-//! them into the regression corpus at `crates/bench/corpus/`.
+//! online checks, stats sanity, cycle accounting), with one shared run
+//! per distinct slipstream configuration. Violations are delta-debugged
+//! down to minimal reproducers and printed as assembly; `--emit-corpus`
+//! writes them into the regression corpus at `crates/bench/corpus/`.
 //!
 //! ```text
 //! differential_fuzz [--seeds N] [--workers W] [--seed X] [--out PATH]
-//!                   [--smoke] [--scaling-probe] [--emit-corpus] [--trace]
-//!                   [--corpus DIR] [--replay PATH] [--telemetry PATH]
+//!                   [--smoke] [--check] [--scaling-probe] [--emit-corpus]
+//!                   [--trace] [--corpus DIR] [--replay PATH]
+//!                   [--telemetry PATH]
 //! ```
 //!
 //! `--smoke` runs the reduced-scale CI gate (≤ 10 s): same code path,
 //! fewer seeds, smaller programs, corpus replay included, sanity
 //! assertions that fail the build on any divergence, and no JSON artifact
-//! unless `--out` is given. `--replay PATH` only replays a corpus entry
-//! (or a directory of them) and exits. `--scaling-probe` reruns the sweep
-//! at 1 worker and asserts the rows are byte-identical. `--trace` writes a
-//! flight-recorder trace of each violation's minimized program next to its
-//! `.ssir` reproducer, headed by the first divergent event against the
+//! unless `--out` is given. `--check` is the drift gate for the committed
+//! `BENCH_fuzz.json`: it reruns the full sweep and fails unless its `rows`
+//! object is byte-identical to the committed one (the host-timing
+//! `throughput` object is not compared), writing nothing unless `--out`
+//! is given. `--replay PATH` only replays a corpus entry (or a directory
+//! of them) and exits. `--scaling-probe` reruns the sweep at 1 worker and
+//! asserts the rows are byte-identical. `--trace` writes a flight-recorder
+//! trace of each violation's minimized program next to its `.ssir`
+//! reproducer, headed by the first divergent event against the
 //! functional oracle (implies writing the reproducers too). `--telemetry
 //! PATH` collects host telemetry (per-seed and shrink-pass spans, fuzz
 //! counters, worker gauge) during the sweep and writes it to `PATH` as
@@ -40,21 +46,29 @@ use slipstream_core::telemetry::{RunManifest, Telemetry};
 /// The checked-in regression corpus, relative to the workspace root.
 const DEFAULT_CORPUS: &str = "crates/bench/corpus";
 
+/// The committed full-sweep document, relative to the workspace root.
+const DOC: &str = "BENCH_fuzz.json";
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     // `--smoke` selects the *base* config regardless of where it appears
     // on the command line; every explicit flag then overlays it, so flag
     // behavior is order-independent.
     let smoke = args.iter().any(|a| a == "--smoke");
+    let check = args.iter().any(|a| a == "--check");
+    assert!(
+        !(smoke && check),
+        "--check compares the full sweep; it cannot run with --smoke"
+    );
     let mut cfg = if smoke {
         FuzzConfig::smoke()
     } else {
         FuzzConfig::full()
     };
-    let mut out: Option<String> = if smoke {
+    let mut out: Option<String> = if smoke || check {
         None
     } else {
-        Some("BENCH_fuzz.json".to_string())
+        Some(DOC.to_string())
     };
     let mut corpus = corpus_dir();
     let mut emit_corpus = false;
@@ -70,7 +84,7 @@ fn main() -> ExitCode {
                 .unwrap_or_else(|| panic!("{} needs a value", args[i]))
         };
         match args[i].as_str() {
-            "--smoke" => {
+            "--smoke" | "--check" => {
                 i += 1;
             }
             "--seeds" => {
@@ -168,6 +182,10 @@ fn main() -> ExitCode {
         println!("smoke fuzz OK");
     }
 
+    if check && !rows_match_committed(&result) {
+        return ExitCode::FAILURE;
+    }
+
     if !result.violations.is_empty() {
         for v in &result.violations {
             println!(
@@ -263,6 +281,27 @@ fn smoke_assertions(result: &FuzzResult, replayed: usize) {
         );
     }
     assert!(replayed > 0, "the checked-in corpus must not be empty");
+}
+
+/// Whether the sweep's `rows` object is byte-identical to the one in the
+/// committed [`DOC`]; reports the outcome either way.
+fn rows_match_committed(result: &FuzzResult) -> bool {
+    let committed = std::fs::read_to_string(DOC)
+        .unwrap_or_else(|e| panic!("{DOC} missing at the repo root ({e})"));
+    let rows = committed
+        .split_once("\"rows\": ")
+        .and_then(|(_, rest)| rest.strip_suffix("\n}\n"))
+        .unwrap_or_else(|| panic!("{DOC} has no trailing `rows` object"));
+    if rows != result.rows_json() {
+        eprintln!(
+            "{DOC} rows drifted from the regenerated sweep — if the change is \
+             intentional, re-commit it via `cargo run --release -p slipstream-bench \
+             --bin differential_fuzz -- --workers 1`"
+        );
+        return false;
+    }
+    println!("differential_fuzz --check: {DOC} rows match the regenerated sweep");
+    true
 }
 
 /// Reruns the same seed set single-threaded and asserts the deterministic

@@ -5,8 +5,12 @@
 //! and then checks every [`Invariant`] in
 //! [`slipstream_core::standard_invariants`] against it — the cycle-level
 //! core, the full slipstream pair under each removal policy (strict +
-//! online checker engaged), and end-of-run stats sanity. Any violation is
-//! immediately minimized by the delta-debugging [`shrink`] pass and
+//! online checker engaged), end-of-run stats sanity and cycle accounting.
+//! [`check_all`] evaluates the battery with one shared run per distinct
+//! slipstream configuration, so five simulations per seed (the SS64 core
+//! plus four slipstream configurations) serve the seven invariants. Any
+//! violation is immediately minimized by the delta-debugging [`shrink`]
+//! pass, which re-runs only the violated invariant's own `check`, and
 //! reported with the minimal program's assembly, ready to be checked into
 //! the regression corpus under `crates/bench/corpus/`.
 //!
@@ -26,7 +30,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
-use slipstream_core::{standard_invariants, Invariant};
+use slipstream_core::{check_all, standard_invariants, Invariant};
 use slipstream_isa::{assemble, ArchState, Program};
 use slipstream_telemetry::{CounterKind, GaugeKind, HistKind, SpanKind, Telemetry};
 use slipstream_workloads::{random_program_with_shape, RandProgConfig, XorShift64Star};
@@ -241,13 +245,15 @@ fn check_seed(
             rows: invariants.iter().map(|_| None).collect(),
         };
     };
+    if let Some(tel) = tel.as_deref_mut() {
+        tel.add(CounterKind::FuzzChecks, invariants.len() as u64);
+    }
+    let verdicts = check_all(&program, &golden, invariants, cfg.max_cycles);
     let rows = invariants
         .iter()
-        .map(|inv| {
-            if let Some(tel) = tel.as_deref_mut() {
-                tel.add(CounterKind::FuzzChecks, 1);
-            }
-            let detail = inv.check(&program, &golden, cfg.max_cycles).err()?;
+        .zip(verdicts)
+        .map(|(inv, verdict)| {
+            let detail = verdict.err()?;
             // Minimize against the *same* invariant. A candidate only
             // counts as failing if it still terminates functionally —
             // shrinking must not wander into non-terminating programs.
@@ -458,9 +464,10 @@ pub fn replay_corpus_file(path: &Path) -> Result<(), String> {
     let program = assemble(&src).map_err(|e| format!("{}: {e}", path.display()))?;
     let golden = oracle(&program, 3_000_000)
         .map_err(|()| format!("{}: program does not terminate", path.display()))?;
-    for inv in standard_invariants() {
-        inv.check(&program, &golden, MAX_CYCLES)
-            .map_err(|e| format!("{}: {} regressed: {e}", path.display(), inv.name()))?;
+    let invariants = standard_invariants();
+    let verdicts = check_all(&program, &golden, &invariants, MAX_CYCLES);
+    for (inv, verdict) in invariants.iter().zip(verdicts) {
+        verdict.map_err(|e| format!("{}: {} regressed: {e}", path.display(), inv.name()))?;
     }
     Ok(())
 }

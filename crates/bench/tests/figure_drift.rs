@@ -5,9 +5,10 @@
 //! anchors are re-committed (`cargo run --release -p slipstream-bench
 //! --bin paper_tables`), so the paper's figures can never silently drift
 //! from the code that claims to reproduce them. A second check holds the
-//! EXPERIMENTS.md tables to the same committed anchors, and a third holds
-//! every documented `--bin` to a binary that exists and every documented
-//! `--flag` to an option some binary parses.
+//! EXPERIMENTS.md tables to the same committed anchors (and its §4 fuzz
+//! counts to `BENCH_fuzz.json` and the checked-in corpus), and a third
+//! holds every documented `--bin` to a binary that exists and every
+//! documented `--flag` to an option some binary parses.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -173,6 +174,117 @@ fn experiments_doc_figure_tables_match_committed_artifacts() {
             (3, "ir_misp_per_kilo"),
             (4, "avg_ir_penalty_cycles"),
         ],
+    );
+}
+
+/// Spelled-out counts, as the docs write small numbers.
+const NUMBER_WORDS: [&str; 13] = [
+    "zero", "one", "two", "three", "four", "five", "six", "seven", "eight", "nine", "ten",
+    "eleven", "twelve",
+];
+
+#[test]
+fn experiments_doc_fuzz_section_matches_committed_artifact_and_corpus() {
+    let doc =
+        fs::read_to_string(repo_root().join("EXPERIMENTS.md")).expect("EXPERIMENTS.md exists");
+    let heading = "## §4";
+    let at = doc.find(heading).expect("EXPERIMENTS.md has a §4 section");
+    let section = &doc[at..];
+    let section = &section[..section[1..].find("\n## ").map_or(section.len(), |e| e + 1)];
+
+    let text = fs::read_to_string(repo_root().join("BENCH_fuzz.json")).expect("BENCH_fuzz.json");
+    let committed = json::parse(&text).unwrap_or_else(|e| panic!("BENCH_fuzz.json: {e}"));
+    let rows = committed.get("rows").expect("BENCH_fuzz.json has rows");
+    let invariants = rows
+        .get("invariants")
+        .and_then(Value::as_arr)
+        .expect("rows list the invariants");
+    let names: Vec<&str> = invariants
+        .iter()
+        .map(|inv| inv.get("name").and_then(Value::as_str).expect("named"))
+        .collect();
+    let checks: u64 = invariants
+        .iter()
+        .map(|inv| inv.get("checked").and_then(Value::as_u64).expect("counted"))
+        .sum();
+    let seeds = rows
+        .get("seeds")
+        .and_then(Value::as_u64)
+        .expect("seed count");
+    let mut corpus: Vec<String> = fs::read_dir(repo_root().join("crates/bench/corpus"))
+        .expect("corpus directory")
+        .map(|e| {
+            e.expect("corpus entry")
+                .file_name()
+                .to_string_lossy()
+                .into_owned()
+        })
+        .filter(|name| name.ends_with(".ssir"))
+        .collect();
+    corpus.sort();
+
+    // Every count the prose states, however its line breaks fall.
+    let words: Vec<&str> = section.split_whitespace().collect();
+    let count = |word: &str| NUMBER_WORDS.iter().position(|&w| w == word);
+    let number = |word: &str| word.trim_start_matches('(').replace(',', "").parse::<u64>();
+    let (mut stated_invariants, mut stated_checks, mut stated_seeds, mut stated_corpus) =
+        (0, 0, 0, 0);
+    for w in words.windows(3) {
+        if let (Some(n), true) = (count(w[0]), w[1].starts_with("invariants")) {
+            assert_eq!(
+                n,
+                names.len(),
+                "{heading} says `{} {}`, BENCH_fuzz.json lists {} invariants",
+                w[0],
+                w[1],
+                names.len()
+            );
+            stated_invariants += 1;
+        }
+        if let (Ok(n), "checks") = (number(w[0]), w[1]) {
+            assert_eq!(
+                n, checks,
+                "{heading} says {} checks, BENCH_fuzz.json has {checks}",
+                w[0]
+            );
+            stated_checks += 1;
+        }
+        if let (Ok(n), "`random_program`", "seeds") = (number(w[0]), w[1], w[2]) {
+            assert_eq!(
+                n, seeds,
+                "{heading} says {} seeds, BENCH_fuzz.json has {seeds}",
+                w[0]
+            );
+            stated_seeds += 1;
+        }
+        if let (Some(n), "seed", "entries") = (count(w[0]), w[1], w[2]) {
+            assert_eq!(
+                n,
+                corpus.len(),
+                "{heading} says the corpus holds {} entries, crates/bench/corpus has {:?}",
+                w[0],
+                corpus
+            );
+            stated_corpus += 1;
+        }
+    }
+    assert!(stated_invariants > 0, "{heading} states no invariant count");
+    assert!(stated_checks > 0, "{heading} states no checks total");
+    assert!(stated_seeds > 0, "{heading} states no seed count");
+    assert!(stated_corpus > 0, "{heading} states no corpus size");
+    for name in &corpus {
+        assert!(
+            section.contains(&format!("`{name}`")),
+            "{heading} does not name the corpus entry {name}"
+        );
+    }
+    let table: Vec<&str> = doc_table(&doc, heading)
+        .iter()
+        .map(|row| row[0].trim_matches('`'))
+        .collect();
+    assert_eq!(
+        table, names,
+        "{heading}: the invariant table must list BENCH_fuzz.json's invariants in order"
     );
 }
 

@@ -10,6 +10,16 @@
 //! post-recovery checks and the online functional checker engaged), and
 //! structural sanity of the end-of-run statistics.
 //!
+//! Most invariants judge one finished slipstream run, and several judge
+//! the same configuration. Such an invariant names its configuration
+//! ([`Invariant::shared_run`]) and splits its `check` into "run" plus
+//! [`Invariant::judge`]. [`check_all`] then runs each distinct
+//! configuration once per program, with strict mode and the online
+//! checker on, and judges every invariant that names it. Neither check
+//! changes a statistic, so a checked run that stays silent is judged
+//! exactly as each invariant's own run would be; a run that panics or
+//! does not halt falls back to the invariants' own `check`s.
+//!
 //! Checkers never panic at their callers: internal simulator assertions
 //! (strict mode, the online checker, the wedge watchdog) are caught and
 //! converted into `Err` details, with the default panic printer suppressed
@@ -39,6 +49,22 @@ pub trait Invariant: Sync {
     /// Checks the invariant. `golden` is the functional oracle's final
     /// state for `program`; `max_cycles` bounds every timing simulation.
     fn check(&self, program: &Program, golden: &ArchState, max_cycles: u64) -> Result<(), String>;
+
+    /// The slipstream configuration whose finished run this invariant
+    /// judges, or `None` (the default) if [`check_all`] must call
+    /// [`Invariant::check`] instead. Invariants naming equal
+    /// configurations share one run.
+    fn shared_run(&self) -> Option<SlipstreamConfig> {
+        None
+    }
+
+    /// Judges a halted run of [`Invariant::shared_run`]'s configuration
+    /// against `golden`: the same verdict `check` gives when its own run
+    /// halts.
+    fn judge(&self, proc: &SlipstreamProcessor, golden: &ArchState) -> Result<(), String> {
+        let _ = (proc, golden);
+        Err(format!("{}: names no shared run to judge", self.name()))
+    }
 }
 
 thread_local! {
@@ -59,6 +85,11 @@ impl Drop for QuietGuard {
 /// thread (the message is not lost — it becomes the `Err`); other threads
 /// keep normal panic reporting.
 pub fn catch_check(f: impl FnOnce() -> Result<(), String>) -> Result<(), String> {
+    catch_panic(f)
+}
+
+/// [`catch_check`] for a closure that yields a value.
+fn catch_panic<T>(f: impl FnOnce() -> Result<T, String>) -> Result<T, String> {
     INSTALL_QUIET_HOOK.call_once(|| {
         let prev = std::panic::take_hook();
         std::panic::set_hook(Box::new(move |info| {
@@ -79,6 +110,22 @@ pub fn catch_check(f: impl FnOnce() -> Result<(), String>) -> Result<(), String>
             Err(format!("panicked: {msg}"))
         }
     }
+}
+
+/// Runs `cfg` on `program`, with strict mode and the online checker on if
+/// `checked`; the processor if it halts within `max_cycles`.
+fn finished_run(
+    cfg: SlipstreamConfig,
+    program: &Program,
+    checked: bool,
+    max_cycles: u64,
+) -> Option<SlipstreamProcessor> {
+    let mut proc = SlipstreamProcessor::new(cfg, program);
+    if checked {
+        proc.set_strict(true);
+        proc.enable_online_check();
+    }
+    proc.run(max_cycles).then_some(proc)
 }
 
 fn compare_final_state(
@@ -189,6 +236,15 @@ impl SlipstreamOracle {
             lockstep: false,
         }
     }
+
+    fn config(&self) -> SlipstreamConfig {
+        let mut cfg = SlipstreamConfig::cmp_2x64x4();
+        cfg.removal = self.policy;
+        if let Some(t) = self.confidence_threshold {
+            cfg.confidence_threshold = t;
+        }
+        cfg
+    }
 }
 
 impl Invariant for SlipstreamOracle {
@@ -198,50 +254,63 @@ impl Invariant for SlipstreamOracle {
 
     fn check(&self, program: &Program, golden: &ArchState, max_cycles: u64) -> Result<(), String> {
         catch_check(|| {
-            let mut cfg = SlipstreamConfig::cmp_2x64x4();
-            cfg.removal = self.policy;
-            if let Some(t) = self.confidence_threshold {
-                cfg.confidence_threshold = t;
-            }
-            let mut proc = SlipstreamProcessor::new(cfg, program);
-            proc.set_strict(true);
-            proc.enable_online_check();
-            if !proc.run(max_cycles) {
-                return Err(format!(
-                    "{}: did not halt within {max_cycles} cycles",
-                    self.label
-                ));
-            }
-            compare_final_state(
-                self.label,
-                proc.r_core().arch_regs(),
-                proc.r_core().mem().first_difference(golden.mem()),
-                golden,
-            )?;
-            if self.lockstep {
-                let s = proc.stats();
-                if s.skipped != 0 {
-                    return Err(format!(
-                        "{}: skipped {} with removal off",
-                        self.label, s.skipped
-                    ));
-                }
-                if s.ir_mispredictions != 0 {
-                    return Err(format!(
-                        "{}: {} IR-mispredictions with removal off",
-                        self.label, s.ir_mispredictions
-                    ));
-                }
-                if s.a_retired != s.r_retired {
-                    return Err(format!(
-                        "{}: A retired {} but R retired {} in AR-SMT mode",
-                        self.label, s.a_retired, s.r_retired
-                    ));
-                }
-            }
-            Ok(())
+            let proc = finished_run(self.config(), program, true, max_cycles).ok_or_else(|| {
+                format!("{}: did not halt within {max_cycles} cycles", self.label)
+            })?;
+            self.judge(&proc, golden)
         })
     }
+
+    fn shared_run(&self) -> Option<SlipstreamConfig> {
+        Some(self.config())
+    }
+
+    fn judge(&self, proc: &SlipstreamProcessor, golden: &ArchState) -> Result<(), String> {
+        compare_final_state(
+            self.label,
+            proc.r_core().arch_regs(),
+            proc.r_core().mem().first_difference(golden.mem()),
+            golden,
+        )?;
+        if self.lockstep {
+            let s = proc.stats();
+            if s.skipped != 0 {
+                return Err(format!(
+                    "{}: skipped {} with removal off",
+                    self.label, s.skipped
+                ));
+            }
+            if s.ir_mispredictions != 0 {
+                return Err(format!(
+                    "{}: {} IR-mispredictions with removal off",
+                    self.label, s.ir_mispredictions
+                ));
+            }
+            if s.a_retired != s.r_retired {
+                return Err(format!(
+                    "{}: A retired {} but R retired {} in AR-SMT mode",
+                    self.label, s.a_retired, s.r_retired
+                ));
+            }
+        }
+        Ok(())
+    }
+}
+
+/// The standalone `check` of an invariant that judges its shared
+/// configuration without strict mode or the online checker.
+fn judge_unchecked_run(
+    inv: &dyn Invariant,
+    program: &Program,
+    golden: &ArchState,
+    max_cycles: u64,
+) -> Result<(), String> {
+    catch_check(|| {
+        let cfg = inv.shared_run().expect("the invariant names a shared run");
+        let proc = finished_run(cfg, program, false, max_cycles)
+            .ok_or_else(|| format!("did not halt within {max_cycles} cycles"))?;
+        inv.judge(&proc, golden)
+    })
 }
 
 /// Invariant 3: end-of-run statistics are internally consistent — retired
@@ -255,60 +324,62 @@ impl Invariant for StatsSanity {
     }
 
     fn check(&self, program: &Program, golden: &ArchState, max_cycles: u64) -> Result<(), String> {
-        catch_check(|| {
-            let mut proc = SlipstreamProcessor::new(SlipstreamConfig::cmp_2x64x4(), program);
-            if !proc.run(max_cycles) {
-                return Err(format!("did not halt within {max_cycles} cycles"));
-            }
-            let s = proc.stats();
-            if !s.halted {
-                return Err("halted flag disagrees with run() returning true".into());
-            }
-            if s.r_retired != golden.retired() {
-                return Err(format!(
-                    "R-stream retired {} dynamic instructions, oracle retired {}",
-                    s.r_retired,
-                    golden.retired()
-                ));
-            }
-            if s.cycles == 0 || s.a_retired == 0 {
-                return Err(format!(
-                    "degenerate run: cycles {} a_retired {}",
-                    s.cycles, s.a_retired
-                ));
-            }
-            let by_reason: u64 = s.skipped_by_reason.iter().map(|&(_, n)| n).sum();
-            if by_reason != s.skipped {
-                return Err(format!(
-                    "skip accounting: by-reason total {} != skipped {}",
-                    by_reason, s.skipped
-                ));
-            }
-            if s.skipped > s.r_retired {
-                return Err(format!(
-                    "skipped {} exceeds the dynamic stream {}",
-                    s.skipped, s.r_retired
-                ));
-            }
-            if s.ir_mispredictions != s.misp_cycles.len() as u64 {
-                return Err(format!(
-                    "IR-misprediction count {} != log length {}",
-                    s.ir_mispredictions,
-                    s.misp_cycles.len()
-                ));
-            }
-            if s.misp_cycles.windows(2).any(|w| w[0] > w[1]) {
-                return Err("misprediction log cycles are not monotone".into());
-            }
-            if s.misp_cycles.last().is_some_and(|&c| c > s.cycles) {
-                return Err("misprediction logged past the end of the run".into());
-            }
-            let ipc = s.r_retired as f64 / s.cycles as f64;
-            if (s.ipc - ipc).abs() > 1e-9 {
-                return Err(format!("reported IPC {} != {}", s.ipc, ipc));
-            }
-            Ok(())
-        })
+        judge_unchecked_run(self, program, golden, max_cycles)
+    }
+
+    fn shared_run(&self) -> Option<SlipstreamConfig> {
+        Some(SlipstreamConfig::cmp_2x64x4())
+    }
+
+    fn judge(&self, proc: &SlipstreamProcessor, golden: &ArchState) -> Result<(), String> {
+        let s = proc.stats();
+        if !s.halted {
+            return Err("halted flag disagrees with run() returning true".into());
+        }
+        if s.r_retired != golden.retired() {
+            return Err(format!(
+                "R-stream retired {} dynamic instructions, oracle retired {}",
+                s.r_retired,
+                golden.retired()
+            ));
+        }
+        if s.cycles == 0 || s.a_retired == 0 {
+            return Err(format!(
+                "degenerate run: cycles {} a_retired {}",
+                s.cycles, s.a_retired
+            ));
+        }
+        let by_reason: u64 = s.skipped_by_reason.iter().map(|&(_, n)| n).sum();
+        if by_reason != s.skipped {
+            return Err(format!(
+                "skip accounting: by-reason total {} != skipped {}",
+                by_reason, s.skipped
+            ));
+        }
+        if s.skipped > s.r_retired {
+            return Err(format!(
+                "skipped {} exceeds the dynamic stream {}",
+                s.skipped, s.r_retired
+            ));
+        }
+        if s.ir_mispredictions != s.misp_cycles.len() as u64 {
+            return Err(format!(
+                "IR-misprediction count {} != log length {}",
+                s.ir_mispredictions,
+                s.misp_cycles.len()
+            ));
+        }
+        if s.misp_cycles.windows(2).any(|w| w[0] > w[1]) {
+            return Err("misprediction log cycles are not monotone".into());
+        }
+        if s.misp_cycles.last().is_some_and(|&c| c > s.cycles) {
+            return Err("misprediction logged past the end of the run".into());
+        }
+        let ipc = s.r_retired as f64 / s.cycles as f64;
+        if (s.ipc - ipc).abs() > 1e-9 {
+            return Err(format!("reported IPC {} != {}", s.ipc, ipc));
+        }
+        Ok(())
     }
 }
 
@@ -324,35 +395,37 @@ impl Invariant for CycleAccounting {
         "cycle-accounting"
     }
 
-    fn check(&self, program: &Program, _golden: &ArchState, max_cycles: u64) -> Result<(), String> {
-        catch_check(|| {
-            let mut cfg = SlipstreamConfig::cmp_2x64x4();
-            cfg.confidence_threshold = 1; // provoke recoveries
-            let mut proc = SlipstreamProcessor::new(cfg, program);
-            if !proc.run(max_cycles) {
-                return Err(format!("did not halt within {max_cycles} cycles"));
+    fn check(&self, program: &Program, golden: &ArchState, max_cycles: u64) -> Result<(), String> {
+        judge_unchecked_run(self, program, golden, max_cycles)
+    }
+
+    fn shared_run(&self) -> Option<SlipstreamConfig> {
+        let mut cfg = SlipstreamConfig::cmp_2x64x4();
+        cfg.confidence_threshold = 1; // provoke recoveries
+        Some(cfg)
+    }
+
+    fn judge(&self, proc: &SlipstreamProcessor, _golden: &ArchState) -> Result<(), String> {
+        for (label, core) in [("A", proc.a_core()), ("R", proc.r_core())] {
+            let s = core.stats();
+            if s.cpi.total() != s.cycles {
+                return Err(format!(
+                    "{label}-stream CPI stack sums to {} but the core ran {} cycles",
+                    s.cpi.total(),
+                    s.cycles
+                ));
             }
-            for (label, core) in [("A", proc.a_core()), ("R", proc.r_core())] {
-                let s = core.stats();
-                if s.cpi.total() != s.cycles {
-                    return Err(format!(
-                        "{label}-stream CPI stack sums to {} but the core ran {} cycles",
-                        s.cpi.total(),
-                        s.cycles
-                    ));
-                }
-                let split = s.fetch_fill_stall_cycles
-                    + s.fetch_redirect_stall_cycles
-                    + s.fetch_external_stall_cycles;
-                if split > s.cycles {
-                    return Err(format!(
-                        "{label}-stream fetch-stall split {split} exceeds {} cycles",
-                        s.cycles
-                    ));
-                }
+            let split = s.fetch_fill_stall_cycles
+                + s.fetch_redirect_stall_cycles
+                + s.fetch_external_stall_cycles;
+            if split > s.cycles {
+                return Err(format!(
+                    "{label}-stream fetch-stall split {split} exceeds {} cycles",
+                    s.cycles
+                ));
             }
-            Ok(())
-        })
+        }
+        Ok(())
     }
 }
 
@@ -368,6 +441,49 @@ pub fn standard_invariants() -> Vec<Box<dyn Invariant>> {
         Box::new(StatsSanity),
         Box::new(CycleAccounting),
     ]
+}
+
+/// Evaluates `invariants` on one program: one verdict per invariant, in
+/// invariant order, equal (`Err` details included) to what each
+/// invariant's own [`Invariant::check`] returns.
+///
+/// Each distinct [`Invariant::shared_run`] configuration runs once, with
+/// strict mode and the online checker on, and every invariant naming it
+/// judges that run; the processor is dropped before the next one is
+/// built. If a shared run panics or does not halt, its invariants fall
+/// back to their own `check`. Invariants without a shared run are checked
+/// on their own.
+pub fn check_all(
+    program: &Program,
+    golden: &ArchState,
+    invariants: &[Box<dyn Invariant>],
+    max_cycles: u64,
+) -> Vec<Result<(), String>> {
+    let keys: Vec<Option<SlipstreamConfig>> = invariants.iter().map(|i| i.shared_run()).collect();
+    let mut verdicts: Vec<Option<Result<(), String>>> = vec![None; invariants.len()];
+    for (i, inv) in invariants.iter().enumerate() {
+        if verdicts[i].is_some() {
+            continue;
+        }
+        let Some(cfg) = &keys[i] else {
+            verdicts[i] = Some(inv.check(program, golden, max_cycles));
+            continue;
+        };
+        let run = catch_panic(|| Ok(finished_run(cfg.clone(), program, true, max_cycles)));
+        for ((sharer, key), verdict) in invariants.iter().zip(&keys).zip(&mut verdicts).skip(i) {
+            if key.as_ref() != Some(cfg) {
+                continue;
+            }
+            *verdict = Some(match &run {
+                Ok(Some(proc)) => catch_check(|| sharer.judge(proc, golden)),
+                _ => sharer.check(program, golden, max_cycles),
+            });
+        }
+    }
+    verdicts
+        .into_iter()
+        .map(|v| v.expect("every invariant has a verdict"))
+        .collect()
 }
 
 #[cfg(test)]

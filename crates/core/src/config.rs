@@ -63,7 +63,7 @@ impl Default for RemovalPolicy {
 
 /// Full slipstream processor configuration (paper Table 2, slipstream
 /// components section).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SlipstreamConfig {
     /// Per-core configuration (both CMP cores are identical).
     pub core: CoreConfig,

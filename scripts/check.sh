@@ -44,7 +44,10 @@ run_gate "fault-campaign smoke (reduced-scale §3 sweep)" \
     cargo run --release -q -p slipstream-bench --bin fault_campaign -- --smoke
 
 run_gate "differential-fuzz smoke (oracle sweep + corpus replay)" \
-    cargo run --release -q -p slipstream-bench --bin differential_fuzz -- --smoke --out BENCH_fuzz_smoke.json
+    cargo run --release -q -p slipstream-bench --bin differential_fuzz -- --smoke --out target/BENCH_fuzz_smoke.json
+
+run_gate "differential-fuzz check (full-sweep rows vs committed BENCH_fuzz.json)" \
+    cargo run --release -q -p slipstream-bench --bin differential_fuzz -- --check
 
 run_gate "trace smoke (flight recorder + exporters)" \
     cargo run --release -q -p slipstream-bench --bin trace_dump -- --smoke
